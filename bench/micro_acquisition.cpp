@@ -1,8 +1,8 @@
 // Micro-benchmark of the Ranking acquisition sweep (core/acquisition.hpp):
-// serial direct scoring (TpeSurrogate::acquisition per candidate) vs the
-// precomputed score table — per-candidate scalar lookups, the vectorized
-// score_block kernel under the runtime SIMD tier, and the parallel block
-// sweep — across pool sizes 2^12..2^24 and history sizes {25, 100, 400},
+// direct scoring (TpeSurrogate::acquisition per candidate) vs the
+// precomputed score table — per-candidate scalar lookups, and the sweep
+// itself (acquisition_topk: the score_block kernel under the runtime SIMD
+// tier) — across pool sizes 2^12..2^24 and history sizes {25, 100, 400},
 // plus one mixed discrete+continuous scenario where the distinct-value
 // memo collapses the per-candidate KDE cost.
 //
@@ -13,13 +13,11 @@
 // scalar table sweep — already proven bitwise-equal to direct at every
 // smaller size — serves as the oracle and `direct_ns` is omitted).
 //
-// Honesty notes baked into the output: every result row records the
-// worker-thread count actually used for its parallel sweep (default:
-// hardware concurrency; the committed numbers are only "multi-threaded"
-// when that count exceeds 1) and the SIMD tier the vector sweeps ran. The
-// top 2^22–2^24 rows also record streamed bytes and effective GB/s — the
-// point at which GB/s stops growing with pool size is the memory-bandwidth
-// ceiling, and the JSON says so in `bandwidth_note`.
+// Every path is serial. The JSON records the machine's core count (nproc)
+// and the SIMD tier the vector sweeps ran; every row also records streamed
+// bytes and effective GB/s — the point at which GB/s stops growing with
+// pool size is the memory-bandwidth ceiling, and the JSON says so in
+// `bandwidth_note`.
 //
 // The refit scenario rebuilds the score table after a pending-liar re-fit
 // (good side unchanged, bad side grown by one) with and without column
@@ -27,9 +25,8 @@
 // as fast as the full build at every recorded size — the regression gate
 // for the write-in-place reuse path.
 //
-// Usage: micro_acquisition [--smoke] [--threads N] [--out PATH]
+// Usage: micro_acquisition [--smoke] [--out PATH]
 //   --smoke     tiny sizes / single rep (CI wiring check, label `bench`)
-//   --threads   worker threads for the parallel sweep (0 = hardware, default)
 //   --out       JSON output path (default BENCH_acquisition.json)
 #include <algorithm>
 #include <bit>
@@ -38,11 +35,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/acquisition.hpp"
 #include "core/history.hpp"
 #include "core/simd.hpp"
@@ -119,13 +117,11 @@ struct Measurement {
   std::size_t pool_size = 0;
   std::size_t history = 0;
   std::size_t params = 0;
-  std::size_t threads = 0;          // workers used by the parallel sweep
   bool direct_measured = false;     // direct reference timed (<= 2^22)
   std::uint64_t direct_ns = 0;      // serial per-candidate direct scoring
   std::uint64_t table_build_ns = 0;  // score-table construction (per fit)
-  std::uint64_t table_sweep_ns = 0;  // serial per-candidate table lookups
-  std::uint64_t vector_sweep_ns = 0;  // serial score_block (active tier)
-  std::uint64_t parallel_sweep_ns = 0;  // score_block on the thread pool
+  std::uint64_t table_sweep_ns = 0;  // per-candidate table lookups
+  std::uint64_t vector_sweep_ns = 0;  // acquisition_topk (active tier)
   std::uint64_t bytes_swept = 0;    // column + ordinal bytes one sweep reads
 };
 
@@ -141,7 +137,7 @@ std::uint64_t best_of(std::size_t reps, const Fn& fn,
     const auto t1 = Clock::now();
     best = std::min(best, elapsed_ns(t0, t1));
     if (expect != nullptr) {
-      if (hits.empty() || hits.front().index != expect->index ||
+      if (hits.empty() || hits.front().key != expect->key ||
           std::bit_cast<std::uint64_t>(hits.front().score) !=
               std::bit_cast<std::uint64_t>(expect->score)) {
         std::fprintf(stderr, "FATAL: sweep paths disagree\n");
@@ -152,11 +148,28 @@ std::uint64_t best_of(std::size_t reps, const Fn& fn,
   return best;
 }
 
+/// Argmax of `score(j)` over the unexcluded pool, one candidate at a time,
+/// with the sweep's tie-break: the timed loop of the per-candidate paths.
+template <class ScoreFn, class ExcludedFn>
+std::vector<core::SweepHit> per_candidate_top1(
+    const core::PoolColumns& columns, const ScoreFn& score,
+    const ExcludedFn& excluded) {
+  const std::span<const std::uint64_t> ordinals = columns.ordinals();
+  std::vector<core::SweepHit> best;
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    const core::SweepHit hit{j, ordinals.empty() ? 0 : ordinals[j], score(j)};
+    if ((best.empty() || core::sweep_better(hit, best.front())) &&
+        !excluded(hit)) {
+      best.assign(1, hit);
+    }
+  }
+  return best;
+}
+
 Measurement measure(const std::string& scenario, const space::SpacePtr& space,
                     const std::vector<space::Configuration>& pool,
                     const core::PoolColumns& columns, std::size_t history_size,
-                    std::size_t reps, bool measure_direct, ThreadPool& workers,
-                    Rng& rng) {
+                    std::size_t reps, bool measure_direct, Rng& rng) {
   const core::History h = make_history(space, history_size, rng);
   const core::TpeSurrogate s(space, h, 0.2);
 
@@ -168,12 +181,9 @@ Measurement measure(const std::string& scenario, const space::SpacePtr& space,
     }
     std::sort(excluded_ordinals.begin(), excluded_ordinals.end());
   }
-  const auto excluded = [&](std::size_t j) {
-    if (excluded_ordinals.empty()) {
-      return false;
-    }
+  const auto excluded = [&](const core::SweepHit& hit) {
     return std::binary_search(excluded_ordinals.begin(),
-                              excluded_ordinals.end(), columns.ordinals()[j]);
+                              excluded_ordinals.end(), hit.ordinal);
   };
 
   Measurement m;
@@ -181,7 +191,6 @@ Measurement measure(const std::string& scenario, const space::SpacePtr& space,
   m.pool_size = pool.size();
   m.history = history_size;
   m.params = space->num_params();
-  m.threads = workers.size();
   m.direct_measured = measure_direct;
   // One sweep streams every column (4 B/candidate/param) plus, on finite
   // spaces, the ordinal column (8 B/candidate) for the exclusion check.
@@ -189,7 +198,7 @@ Measurement measure(const std::string& scenario, const space::SpacePtr& space,
                                  (columns.ordinals().empty() ? 0 : 8));
 
   const auto t0 = Clock::now();
-  const core::AcquisitionTable table(s, columns);
+  const core::AcquisitionTable table(s, &columns);
   const auto t1 = Clock::now();
   m.table_build_ns = elapsed_ns(t0, t1);
 
@@ -197,55 +206,39 @@ Measurement measure(const std::string& scenario, const space::SpacePtr& space,
   // feasible, otherwise the scalar per-candidate table sweep (bitwise-equal
   // to direct by construction, cross-checked at every smaller size).
   const auto table_scalar = [&] {
-    return core::acquisition_topk(
-        columns.size(), 1, nullptr,
-        [&](std::size_t j) { return table.score(columns, j); }, excluded);
+    return per_candidate_top1(
+        columns, [&](std::size_t j) { return table.score(columns, j); },
+        excluded);
   };
-  core::SweepHit expect;
-  if (measure_direct) {
-    const std::vector<core::SweepHit> reference = core::acquisition_topk(
-        pool.size(), 1, nullptr,
-        [&](std::size_t j) { return s.acquisition(pool[j]); }, excluded);
-    expect = reference.front();
-    m.direct_ns = best_of(
-        reps,
-        [&] {
-          return core::acquisition_topk(
-              pool.size(), 1, nullptr,
-              [&](std::size_t j) { return s.acquisition(pool[j]); },
-              excluded);
+  const auto sweep = [&](core::SimdTier tier) {
+    return core::acquisition_topk(
+        table, (columns.size() + core::kSweepChunk - 1) / core::kSweepChunk,
+        1,
+        [&](std::size_t chunk) {
+          const std::size_t begin = chunk * core::kSweepChunk;
+          return core::pool_rows(
+              columns, begin,
+              std::min(begin + core::kSweepChunk, columns.size()));
         },
-        &expect);
-  } else {
-    expect = table_scalar().front();
+        excluded, tier);
+  };
+  const auto direct = [&] {
+    return per_candidate_top1(
+        columns, [&](std::size_t j) { return s.acquisition(pool[j]); },
+        excluded);
+  };
+  const core::SweepHit expect =
+      measure_direct ? direct().front() : table_scalar().front();
+  if (measure_direct) {
+    m.direct_ns = best_of(reps, direct, &expect);
   }
-
   m.table_sweep_ns = best_of(reps, table_scalar, &expect);
   m.vector_sweep_ns = best_of(
-      reps,
-      [&] {
-        return core::acquisition_topk_table(table, columns, 1, nullptr,
-                                            excluded);
-      },
-      &expect);
-  m.parallel_sweep_ns = best_of(
-      reps,
-      [&] {
-        return core::acquisition_topk_table(table, columns, 1, &workers,
-                                            excluded);
-      },
-      &expect);
-  // Cross-tier parity: the forced-scalar block sweep must agree too (the
-  // unit suites prove full-vector bitwise equality; this is the bench's
-  // cheap end-to-end guard).
-  (void)best_of(
-      1,
-      [&] {
-        return core::acquisition_topk_table(table, columns, 1, nullptr,
-                                            excluded,
-                                            core::SimdTier::kScalar);
-      },
-      &expect);
+      reps, [&] { return sweep(core::active_simd_tier()); }, &expect);
+  // Cross-tier parity: the forced-scalar sweep must agree too (the unit
+  // suites prove full-vector bitwise equality; this is the bench's cheap
+  // end-to-end guard).
+  (void)best_of(1, [&] { return sweep(core::SimdTier::kScalar); }, &expect);
   return m;
 }
 
@@ -272,7 +265,7 @@ RefitMeasurement measure_refit(const space::SpacePtr& space,
   const core::History h = make_history(space, history_size, rng);
   const core::TpeSurrogate base(space, h, 0.2);
   const core::PoolColumns columns(*space, pool);
-  const core::AcquisitionTable prev(base, columns);
+  const core::AcquisitionTable prev(base, &columns);
 
   const std::vector<space::Configuration> pending{space->sample_uniform(rng)};
   const core::TpeSurrogate refit(space, h, 0.2, {}, nullptr, 0.0, pending);
@@ -287,9 +280,9 @@ RefitMeasurement measure_refit(const space::SpacePtr& space,
   m.incremental_ns = ~std::uint64_t{0};
   for (std::size_t r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
-    const core::AcquisitionTable full(refit, columns);
+    const core::AcquisitionTable full(refit, &columns);
     const auto t1 = Clock::now();
-    const core::AcquisitionTable incremental(refit, columns, &prev);
+    const core::AcquisitionTable incremental(refit, &columns, &prev);
     const auto t2 = Clock::now();
     m.full_ns = std::min(m.full_ns, elapsed_ns(t0, t1));
     m.incremental_ns = std::min(m.incremental_ns, elapsed_ns(t1, t2));
@@ -330,6 +323,17 @@ void append_refit_json(std::string& out, const RefitMeasurement& m) {
   out += "}";
 }
 
+void print_row(const Measurement& m) {
+  std::printf("%-10s %10zu %8zu %14llu %14llu %14llu %8.1fx\n",
+              m.scenario.c_str(), m.pool_size, m.history,
+              static_cast<unsigned long long>(m.direct_ns),
+              static_cast<unsigned long long>(m.table_sweep_ns),
+              static_cast<unsigned long long>(m.vector_sweep_ns),
+              static_cast<double>(m.table_sweep_ns) /
+                  static_cast<double>(
+                      std::max<std::uint64_t>(m.vector_sweep_ns, 1)));
+}
+
 double sweep_gbps(const Measurement& m) {
   return static_cast<double>(m.bytes_swept) /
          static_cast<double>(std::max<std::uint64_t>(m.vector_sweep_ns, 1));
@@ -340,25 +344,20 @@ void append_json(std::string& out, const Measurement& m,
   const double table =
       static_cast<double>(m.table_build_ns + m.table_sweep_ns);
   const double vec = static_cast<double>(m.table_build_ns + m.vector_sweep_ns);
-  const double parallel =
-      static_cast<double>(m.table_build_ns + m.parallel_sweep_ns);
   out += "    {\"scenario\":\"" + m.scenario + "\"";
   out += ",\"pool\":" + std::to_string(m.pool_size);
   out += ",\"history\":" + std::to_string(m.history);
   out += ",\"params\":" + std::to_string(m.params);
-  out += ",\"threads\":" + std::to_string(m.threads);
   out += ",\"simd\":\"" + std::string(simd) + "\"";
   if (m.direct_measured) {
     const double direct = static_cast<double>(m.direct_ns);
     out += ",\"direct_ns\":" + std::to_string(m.direct_ns);
     out += ",\"speedup_table\":" + obs::json_double(direct / table);
     out += ",\"speedup_vector\":" + obs::json_double(direct / vec);
-    out += ",\"speedup_parallel\":" + obs::json_double(direct / parallel);
   }
   out += ",\"table_build_ns\":" + std::to_string(m.table_build_ns);
   out += ",\"table_sweep_ns\":" + std::to_string(m.table_sweep_ns);
   out += ",\"vector_sweep_ns\":" + std::to_string(m.vector_sweep_ns);
-  out += ",\"parallel_sweep_ns\":" + std::to_string(m.parallel_sweep_ns);
   out += ",\"speedup_vector_vs_table_sweep\":" +
          obs::json_double(static_cast<double>(m.table_sweep_ns) /
                           static_cast<double>(std::max<std::uint64_t>(
@@ -368,7 +367,7 @@ void append_json(std::string& out, const Measurement& m,
   out += "}";
 }
 
-int run(bool smoke, std::size_t threads, const std::string& out_path) {
+int run(bool smoke, const std::string& out_path) {
   const std::vector<std::size_t> log2_pools =
       smoke ? std::vector<std::size_t>{12, 14}
             : std::vector<std::size_t>{12, 14, 16, 18, 20, 22, 23, 24};
@@ -379,16 +378,15 @@ int run(bool smoke, std::size_t threads, const std::string& out_path) {
   const std::vector<std::size_t> histories =
       smoke ? std::vector<std::size_t>{25} : std::vector<std::size_t>{25, 100, 400};
 
-  ThreadPool workers(threads);  // 0 = hardware concurrency
+  const unsigned nproc = std::thread::hardware_concurrency();
   const std::string_view simd = core::simd_tier_name(core::active_simd_tier());
   Rng rng(0xacc5eed);
   std::vector<Measurement> results;
 
-  std::printf("simd tier: %s, parallel-sweep threads: %zu\n",
-              std::string(simd).c_str(), workers.size());
-  std::printf("%-10s %10s %8s %14s %14s %14s %14s %9s\n", "scenario", "pool",
-              "history", "direct_ns", "table_ns", "vector_ns", "parallel_ns",
-              "vec_gain");
+  std::printf("simd tier: %s, nproc: %u (all sweeps serial)\n",
+              std::string(simd).c_str(), nproc);
+  std::printf("%-10s %10s %8s %14s %14s %14s %9s\n", "scenario", "pool",
+              "history", "direct_ns", "table_ns", "vector_ns", "vec_gain");
   for (const std::size_t log2_pool : log2_pools) {
     const space::SpacePtr space = discrete_space(log2_pool);
     const std::vector<space::Configuration> pool = space->enumerate();
@@ -400,16 +398,8 @@ int run(bool smoke, std::size_t threads, const std::string& out_path) {
                                            3, 64);
       Measurement m =
           measure("discrete", space, pool, columns, history, reps,
-                  log2_pool <= kMaxDirectLog2, workers, rng);
-      std::printf("%-10s %10zu %8zu %14llu %14llu %14llu %14llu %8.1fx\n",
-                  m.scenario.c_str(), m.pool_size, m.history,
-                  static_cast<unsigned long long>(m.direct_ns),
-                  static_cast<unsigned long long>(m.table_sweep_ns),
-                  static_cast<unsigned long long>(m.vector_sweep_ns),
-                  static_cast<unsigned long long>(m.parallel_sweep_ns),
-                  static_cast<double>(m.table_sweep_ns) /
-                      static_cast<double>(
-                          std::max<std::uint64_t>(m.vector_sweep_ns, 1)));
+                  log2_pool <= kMaxDirectLog2, rng);
+      print_row(m);
       results.push_back(std::move(m));
     }
   }
@@ -420,16 +410,8 @@ int run(bool smoke, std::size_t threads, const std::string& out_path) {
     const core::PoolColumns columns(*space, pool);
     for (const std::size_t history : histories) {
       Measurement m = measure("mixed", space, pool, columns, history,
-                              smoke ? 1 : 8, true, workers, rng);
-      std::printf("%-10s %10zu %8zu %14llu %14llu %14llu %14llu %8.1fx\n",
-                  m.scenario.c_str(), m.pool_size, m.history,
-                  static_cast<unsigned long long>(m.direct_ns),
-                  static_cast<unsigned long long>(m.table_sweep_ns),
-                  static_cast<unsigned long long>(m.vector_sweep_ns),
-                  static_cast<unsigned long long>(m.parallel_sweep_ns),
-                  static_cast<double>(m.table_sweep_ns) /
-                      static_cast<double>(
-                          std::max<std::uint64_t>(m.vector_sweep_ns, 1)));
+                              smoke ? 1 : 8, true, rng);
+      print_row(m);
       results.push_back(std::move(m));
     }
   }
@@ -483,7 +465,7 @@ int run(bool smoke, std::size_t threads, const std::string& out_path) {
 
   std::string json = "{\n  \"bench\": \"acquisition_sweep\",\n";
   json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
-  json += "  \"threads\": " + std::to_string(workers.size()) + ",\n";
+  json += "  \"nproc\": " + std::to_string(nproc) + ",\n";
   json += "  \"simd\": \"" + std::string(simd) + "\",\n";
   json += "  \"simd_detected\": \"" +
           std::string(core::simd_tier_name(core::detected_simd_tier())) +
@@ -524,22 +506,19 @@ int run(bool smoke, std::size_t threads, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::size_t threads = 0;  // hardware concurrency
   std::string out_path = "BENCH_acquisition.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--threads N] [--out PATH]\n",
+                   "usage: %s [--smoke] [--out PATH]\n",
                    argv[0]);
       return 2;
     }
   }
-  return hpb::run(smoke, threads, out_path);
+  return hpb::run(smoke, out_path);
 }

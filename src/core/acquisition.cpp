@@ -86,14 +86,13 @@ bool AcquisitionTable::MarginalKey::matches(
          scalar_bits_equal(bandwidth, other.bandwidth) &&
          scalar_bits_equal(lo, other.lo) && scalar_bits_equal(hi, other.hi) &&
          bits_equal(values, other.values) &&
-         bits_equal(weights, other.weights);
+         bits_equal(weights, other.weights) && bits_equal(rows, other.rows);
 }
 
-template <class RebuildGood, class RebuildBad>
+template <class Rebuild>
 void AcquisitionTable::fill_column(std::size_t i, std::size_t rows,
                                    const AcquisitionTable* prev,
-                                   const RebuildGood& good,
-                                   const RebuildBad& bad) {
+                                   const Rebuild& good, const Rebuild& bad) {
   if (rows == 0) {
     return;
   }
@@ -122,19 +121,29 @@ void AcquisitionTable::fill_column(std::size_t i, std::size_t rows,
 }
 
 AcquisitionTable::AcquisitionTable(const TpeSurrogate& surrogate,
-                                   const PoolColumns& columns,
+                                   const PoolColumns* columns,
                                    const AcquisitionTable* prev) {
-  const std::size_t n_params = columns.num_params();
-  HPB_REQUIRE(surrogate.good().num_params() == n_params,
+  const space::ParameterSpace& space = surrogate.good().space();
+  const std::size_t n_params = space.num_params();
+  HPB_REQUIRE(columns == nullptr || columns->num_params() == n_params,
               "AcquisitionTable: parameter count mismatch");
+  // Rows: the level count for a discrete parameter, the pool's
+  // distinct-value count for a continuous one.
+  auto rows_of = [&](std::size_t i) {
+    const space::Parameter& p = space.param(i);
+    HPB_REQUIRE(p.is_discrete() || columns != nullptr,
+                "AcquisitionTable: continuous parameters need a pool "
+                "(streamed sweeps only serve finite spaces)");
+    return p.is_discrete() ? p.num_levels() : columns->table_size(i);
+  };
   offsets_.resize(n_params);
   std::size_t total = 0;
   for (std::size_t i = 0; i < n_params; ++i) {
     offsets_[i] = total;
-    total += columns.table_size(i);
+    total += rows_of(i);
   }
-  // An incremental rebuild requires the previous table to cover the same
-  // pool layout; anything else falls back to a full build.
+  // An incremental rebuild requires the previous table to have the same
+  // layout; anything else falls back to a full build.
   if (prev != nullptr &&
       (prev->offsets_ != offsets_ || prev->log_good_.size() != total)) {
     prev = nullptr;
@@ -145,7 +154,7 @@ AcquisitionTable::AcquisitionTable(const TpeSurrogate& surrogate,
   bad_keys_.resize(n_params);
   auto key_of = [&](const FactorizedDensity& density, std::size_t i) {
     MarginalKey key;
-    if (columns.is_continuous(i)) {
+    if (!space.param(i).is_discrete()) {
       const stats::KernelDensity& k = density.kernel(i);
       key.continuous = true;
       key.bandwidth = k.bandwidth();
@@ -153,6 +162,11 @@ AcquisitionTable::AcquisitionTable(const TpeSurrogate& surrogate,
       key.hi = k.hi();
       key.values.assign(k.centers().begin(), k.centers().end());
       key.weights.assign(k.kernel_weights().begin(), k.kernel_weights().end());
+      // The column's rows are this pool's distinct values: a previous
+      // table over another pool with as many distinct values must not
+      // match.
+      const std::span<const double> rows = columns->distinct_values(i);
+      key.rows.assign(rows.begin(), rows.end());
     } else {
       const stats::HistogramDensity& h = density.histogram(i);
       key.smoothing = h.smoothing();
@@ -167,82 +181,54 @@ AcquisitionTable::AcquisitionTable(const TpeSurrogate& surrogate,
     // makes (log_pmf / log_pdf), so a table lookup reproduces the direct
     // score bit for bit.
     auto column = [&](const FactorizedDensity& density) {
-      return [&density, &columns, i](std::span<double> out) {
-        if (columns.is_continuous(i)) {
-          density.kernel(i).log_pdf_many(columns.distinct_values(i), out);
-        } else {
+      return [&density, &space, columns, i](std::span<double> out) {
+        if (space.param(i).is_discrete()) {
           density.histogram(i).log_pmf_table(out);
+        } else {
+          density.kernel(i).log_pdf_many(columns->distinct_values(i), out);
         }
       };
     };
-    fill_column(i, columns.table_size(i), prev, column(surrogate.good()),
+    fill_column(i, rows_of(i), prev, column(surrogate.good()),
                 column(surrogate.bad()));
   }
 }
 
-AcquisitionTable::AcquisitionTable(const TpeSurrogate& surrogate,
-                                   const space::ParameterSpace& space,
-                                   const AcquisitionTable* prev) {
-  HPB_REQUIRE(space.is_finite(),
-              "AcquisitionTable: space-keyed tables require an all-discrete "
-              "space (streamed sweeps only serve finite spaces)");
-  const std::size_t n_params = space.num_params();
-  HPB_REQUIRE(surrogate.good().num_params() == n_params,
-              "AcquisitionTable: parameter count mismatch");
-  offsets_.resize(n_params);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n_params; ++i) {
-    offsets_[i] = total;
-    total += space.param(i).num_levels();
-  }
-  if (prev != nullptr &&
-      (prev->offsets_ != offsets_ || prev->log_good_.size() != total)) {
-    prev = nullptr;
-  }
-  log_good_.resize(total);
-  log_bad_.resize(total);
-  good_keys_.resize(n_params);
-  bad_keys_.resize(n_params);
-  // All-discrete layout: every column is the histogram's log_pmf_table(),
-  // computed (or reused) exactly as in the pooled constructor's discrete
-  // branch, so streamed scores match pooled scores bit for bit.
-  auto key_of = [&](const FactorizedDensity& density, std::size_t i) {
-    MarginalKey key;
-    const stats::HistogramDensity& h = density.histogram(i);
-    key.smoothing = h.smoothing();
-    key.values.assign(h.counts().begin(), h.counts().end());
-    return key;
-  };
-  for (std::size_t i = 0; i < n_params; ++i) {
-    good_keys_[i] = key_of(surrogate.good(), i);
-    bad_keys_[i] = key_of(surrogate.bad(), i);
-    const auto column = [&](const FactorizedDensity& density) {
-      return [&density, i](std::span<double> out) {
-        density.histogram(i).log_pmf_table(out);
-      };
-    };
-    fill_column(i, space.param(i).num_levels(), prev,
-                column(surrogate.good()), column(surrogate.bad()));
-  }
+void AcquisitionTable::score_block(const SweepChunk& chunk, double* out,
+                                   SimdTier tier) const {
+  core::score_block(tier, log_good_.data(), log_bad_.data(), offsets_.data(),
+                    chunk.cols, offsets_.size(), chunk.begin, chunk.end, out);
 }
 
-void AcquisitionTable::score_block(const PoolColumns& columns,
-                                   std::size_t begin, std::size_t end,
-                                   double* out, SimdTier tier) const {
-  HPB_REQUIRE(columns.num_params() == offsets_.size(),
-              "AcquisitionTable::score_block: parameter count mismatch");
-  HPB_REQUIRE(end <= columns.size(),
-              "AcquisitionTable::score_block: range out of bounds");
-  core::score_block(tier, log_good_.data(), log_bad_.data(), offsets_.data(),
-                    columns.column_data().data(), offsets_.size(), begin, end,
-                    out);
+SweepChunk pool_rows(const PoolColumns& columns, std::size_t begin,
+                     std::size_t end) {
+  HPB_REQUIRE(begin <= end && end <= columns.size(),
+              "pool_rows: range out of bounds");
+  const std::span<const std::uint64_t> ordinals = columns.ordinals();
+  return {columns.column_data().data(), begin, end,
+          ordinals.empty() ? nullptr : ordinals.data()};
 }
 
-void AcquisitionTable::score_block_cols(const std::uint32_t* const* cols,
-                                        std::size_t count, double* out,
-                                        SimdTier tier) const {
-  core::score_block(tier, log_good_.data(), log_bad_.data(), offsets_.data(),
-                    cols, offsets_.size(), 0, count, out);
+StreamChunks::StreamChunks(const space::CandidateStream& stream,
+                           std::uint64_t pass)
+    : stream_(stream), pass_(pass), cols_(stream.space().num_params()) {}
+
+SweepChunk StreamChunks::operator()(std::size_t chunk) {
+  stream_.chunk_candidates(pass_, chunk, candidates_);
+  const std::size_t m = candidates_.size();
+  levels_.resize(cols_.size() * m);
+  ordinals_.resize(m);
+  for (std::size_t i = 0; i < cols_.size(); ++i) {
+    std::uint32_t* col = levels_.data() + i * m;
+    cols_[i] = col;
+    for (std::size_t t = 0; t < m; ++t) {
+      col[t] = static_cast<std::uint32_t>(candidates_[t].config.level(i));
+    }
+  }
+  for (std::size_t t = 0; t < m; ++t) {
+    ordinals_[t] = candidates_[t].ordinal;
+  }
+  return {cols_.data(), 0, m, ordinals_.data()};
 }
 
 }  // namespace hpb::core

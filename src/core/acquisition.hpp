@@ -23,16 +23,14 @@
 //     bitwise-identical to the direct path's. score_block() runs the same
 //     gathers through the runtime-dispatched SIMD kernel (core/simd.hpp):
 //     lane-per-candidate, so vectorized scores are also bitwise-identical.
-//   - acquisition_topk / acquisition_topk_table: deterministic chunked
-//     argmax/top-k over the shared common::ThreadPool. Chunk boundaries
-//     are fixed (independent of worker count) and ties break toward the
-//     lowest candidate index, so the result is identical for any thread
-//     count. The table variants are streaming: each chunk scores through
-//     score_block() into a chunk-local buffer of at most kSweepChunk
-//     doubles and reduces immediately to a sorted list of at most k hits —
-//     a full pool-sized score vector is never materialized, so the sweep's
-//     working set is O(threads * kSweepChunk + num_chunks * k) regardless
-//     of pool size.
+//   - acquisition_topk: the one sweep. It walks a candidate source chunk
+//     by chunk — column slices of a materialized pool, or one pass of a
+//     CandidateStream transposed into level columns — scores each chunk in
+//     one score_block() call into a buffer of at most one chunk's doubles,
+//     and keeps one running bounded top-k under sweep_better. A full
+//     score vector is never materialized, so the working set is one chunk
+//     plus k hits regardless of pool size. The sweep is serial: it is
+//     memory-bandwidth-bound, and threads measured 0.87-1.13x of it.
 #pragma once
 
 #include <algorithm>
@@ -41,7 +39,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/simd.hpp"
 #include "core/surrogate.hpp"
 #include "space/candidate_stream.hpp"
@@ -106,7 +103,30 @@ class PoolColumns {
   std::vector<std::uint64_t> ordinals_;
 };
 
-/// Per-fit `index -> (log pg, log pb)` tables over a PoolColumns layout.
+/// One chunk of sweep candidates: rows [begin, end) of per-parameter index
+/// columns (the layout score_block consumes), and the same rows of the
+/// candidates' space ordinals (null when the space is not finite).
+struct SweepChunk {
+  const std::uint32_t* const* cols = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  const std::uint64_t* ordinals = nullptr;
+};
+
+/// Rows [begin, end) of a pool's column mirror as a sweep chunk: slices of
+/// its columns and ordinals, nothing copied.
+[[nodiscard]] SweepChunk pool_rows(const PoolColumns& columns,
+                                   std::size_t begin, std::size_t end);
+
+/// Per-fit `index -> (log pg, log pb)` tables, one column per parameter.
+///
+/// A discrete parameter's column has one row per level (the histogram's
+/// log_pmf_table(), independent of any pool); a continuous parameter's
+/// column has one row per distinct value of a pool's column (the KDE's
+/// log_pdf over PoolColumns::distinct_values). Continuous parameters
+/// therefore need `columns`; a null `columns` builds the pool-independent
+/// table of an all-discrete space, which streamed sweeps score freshly
+/// generated candidates against — the same doubles a pooled table holds.
 ///
 /// Consecutive fits usually change only a few marginals — the good group in
 /// particular is identical between fits whenever the new observations all
@@ -114,26 +134,19 @@ class PoolColumns {
 /// rebuilds only the columns whose marginal actually changed: each column is
 /// keyed by the bitwise state of the marginal density that produced it
 /// (histogram counts + smoothing, or KDE centers + weights + bandwidth +
-/// support), and an unchanged key means the recomputation would be
+/// support) and, for a continuous column, by the distinct values it was
+/// evaluated at. An unchanged key means the recomputation would be
 /// bitwise-identical, so the old column is memcpy'd straight into the flat
 /// table instead (no temporaries — the reuse path must beat a recompute at
 /// every size, which a copy-through-vector did not; see
 /// BENCH_acquisition.json's refit_results). Scores are therefore
-/// bitwise-identical with or without `prev`. A `prev` whose pool layout
+/// bitwise-identical with or without `prev`. A `prev` whose layout
 /// differs is ignored entirely — the automatic fallback to a full build.
 class AcquisitionTable {
  public:
-  AcquisitionTable(const TpeSurrogate& surrogate, const PoolColumns& columns,
-                   const AcquisitionTable* prev = nullptr);
-
-  /// Pool-independent table over a finite (all-discrete) space, for
-  /// streamed sweeps whose candidates are generated on the fly and never
-  /// live in a pool. Each column is the histogram's log_pmf_table() — the
-  /// exact doubles the pooled constructor stores for a discrete parameter —
-  /// so a streamed score equals the pooled (and direct) score bit for bit.
-  AcquisitionTable(const TpeSurrogate& surrogate,
-                   const space::ParameterSpace& space,
-                   const AcquisitionTable* prev = nullptr);
+  explicit AcquisitionTable(const TpeSurrogate& surrogate,
+                            const PoolColumns* columns = nullptr,
+                            const AcquisitionTable* prev = nullptr);
 
   [[nodiscard]] std::size_t num_params() const noexcept {
     return offsets_.size();
@@ -154,34 +167,11 @@ class AcquisitionTable {
     return log_good - log_bad;
   }
 
-  /// Acquisition score of an arbitrary configuration, by level lookup (so
-  /// every parameter must be discrete — true for any table built by the
-  /// space constructor, and for pooled tables over all-discrete spaces).
-  /// Accumulates per-parameter terms in the same order as score().
-  [[nodiscard]] double score_config(const space::Configuration& c) const {
-    double log_good = 0.0;
-    double log_bad = 0.0;
-    for (std::size_t i = 0; i < offsets_.size(); ++i) {
-      const std::size_t at = offsets_[i] + c.level(i);
-      log_good += log_good_[at];
-      log_bad += log_bad_[at];
-    }
-    return log_good - log_bad;
-  }
-
-  /// Scores pool candidates [begin, end) into out[0 .. end-begin) through
-  /// the runtime-dispatched SIMD kernel. Every tier's output is
+  /// Scores the chunk's candidates into out[0 .. end-begin) through the
+  /// runtime-dispatched SIMD kernel. Every tier's output is
   /// bitwise-identical to calling score() per candidate.
-  void score_block(const PoolColumns& columns, std::size_t begin,
-                   std::size_t end, double* out,
+  void score_block(const SweepChunk& chunk, double* out,
                    SimdTier tier = active_simd_tier()) const;
-
-  /// Same kernel over caller-built index columns (cols[i][0 .. count) for
-  /// each of num_params() parameters) — the streamed sweep scores each
-  /// chunk's freshly generated candidates through this.
-  void score_block_cols(const std::uint32_t* const* cols, std::size_t count,
-                        double* out,
-                        SimdTier tier = active_simd_tier()) const;
 
   /// Per-side columns copied from `prev` instead of recomputed (0..2 per
   /// parameter). Exposed for the sweep span and the incremental bench.
@@ -199,17 +189,18 @@ class AcquisitionTable {
     double hi = 0.0;
     std::vector<double> values;   // histogram counts / KDE centers
     std::vector<double> weights;  // KDE per-center weights
+    std::vector<double> rows;     // KDE: the distinct values evaluated at
 
     [[nodiscard]] bool matches(const MarginalKey& other) const noexcept;
   };
 
   /// Fill parameter i's rows of both flat tables in place: memcpy from
   /// `prev` when the marginal key is unchanged, recompute via `rebuild`
-  /// otherwise. Shared by both constructors.
-  template <class RebuildGood, class RebuildBad>
+  /// otherwise.
+  template <class Rebuild>
   void fill_column(std::size_t i, std::size_t rows,
-                   const AcquisitionTable* prev, const RebuildGood& good,
-                   const RebuildBad& bad);
+                   const AcquisitionTable* prev, const Rebuild& good,
+                   const Rebuild& bad);
 
   std::vector<std::size_t> offsets_;  // per-param start into the flat tables
   std::vector<double> log_good_;
@@ -219,281 +210,102 @@ class AcquisitionTable {
   std::size_t reused_columns_ = 0;
 };
 
-/// One sweep result: a candidate index and its acquisition score.
+/// One sweep result. `key` is the candidate's position in the sweep — the
+/// pool index for a pool, the index among the pass's valid candidates for
+/// a stream (ordered like the raw in-pass index) — and the tie-break. On a
+/// flat unconstrained space swept exhaustively the two are equal. `ordinal`
+/// is the candidate's space ordinal (0 when the space is not finite).
 struct SweepHit {
-  std::size_t index = 0;
+  std::uint64_t key = 0;
+  std::uint64_t ordinal = 0;
   double score = 0.0;
 };
 
 /// Strict ordering of the sweep: descending score, ties broken by lowest
-/// candidate index (indices are unique, so this is a total order).
+/// key (keys are unique within a sweep, so this is a total order).
 [[nodiscard]] inline bool sweep_better(const SweepHit& a,
                                        const SweepHit& b) noexcept {
-  return a.score > b.score || (a.score == b.score && a.index < b.index);
+  return a.score > b.score || (a.score == b.score && a.key < b.key);
 }
 
-/// Fixed sweep chunk size. Chunk boundaries depend only on the pool size,
-/// never on the worker count, so chunk-local results — and therefore the
-/// final reduction — are identical for any thread count.
+/// Candidates per chunk of a pooled sweep (one score buffer's length).
 inline constexpr std::size_t kSweepChunk = 8192;
 
-namespace detail {
+/// The sweep chunks of one CandidateStream pass: each chunk's valid
+/// candidates transposed into level columns (the layout PoolColumns gives
+/// a pool), in buffers reused across chunks. Candidates keep the pass's
+/// raw-index order, so keys ascend with the in-pass index.
+class StreamChunks {
+ public:
+  StreamChunks(const space::CandidateStream& stream, std::uint64_t pass);
 
-/// Insert `hit` into the sorted bounded list `best` (capacity k) under the
-/// strict total order `better`. The caller pre-checks the reject case
-/// (full list, hit not better than the tail) so StreamHit insertions can
-/// defer moving their Configuration until the hit is known to survive.
-template <class Hit, class Better>
-inline void bounded_sorted_insert(std::vector<Hit>& best, Hit&& hit,
-                                  std::size_t k, const Better& better) {
-  std::size_t pos = best.size();
-  while (pos > 0 && better(hit, best[pos - 1])) {
-    --pos;
+  [[nodiscard]] std::size_t size() const noexcept {
+    return stream_.num_chunks();
   }
-  best.insert(best.begin() + static_cast<std::ptrdiff_t>(pos),
-              std::move(hit));
-  if (best.size() > k) {
-    best.pop_back();
-  }
-}
 
-/// Merge one chunk's sorted hit list into the running bounded top-k.
-/// Chunk lists are sorted under the same total order, so the first hit
-/// that cannot enter a full merged list ends the chunk — the merge never
-/// concatenates, keeping the reduction's working set at k+1 hits. Called
-/// serially in chunk order, so the result is scheduling-independent and
-/// equals a global sort of all chunk hits truncated to k.
-template <class Hit, class Better>
-inline void merge_sorted_bounded(std::vector<Hit>& merged,
-                                 std::vector<Hit>& chunk, std::size_t k,
-                                 const Better& better) {
-  for (Hit& hit : chunk) {
-    if (merged.size() == k && !better(hit, merged.back())) {
-      break;
-    }
-    bounded_sorted_insert(merged, std::move(hit), k, better);
-  }
-}
+  /// Chunk `chunk`; valid until the next call.
+  [[nodiscard]] SweepChunk operator()(std::size_t chunk);
 
-}  // namespace detail
-
-/// Deterministic chunked top-k sweep over candidates 0..n-1. `score(j)`
-/// must be a pure function of j; `excluded(j)` hides a candidate from the
-/// result. Chunks run on `pool` (serial when null or single-threaded); the
-/// per-chunk winners are reduced serially in chunk order under
-/// sweep_better, so the result is independent of scheduling. Returns at
-/// most k hits, best first; fewer when the unexcluded pool is smaller.
-/// This generic form scores through a per-candidate callback (the direct
-/// path's reference sweep); table sweeps use acquisition_topk_table.
-template <class ScoreFn, class ExcludedFn>
-[[nodiscard]] std::vector<SweepHit> acquisition_topk(std::size_t n,
-                                                     std::size_t k,
-                                                     ThreadPool* pool,
-                                                     const ScoreFn& score,
-                                                     const ExcludedFn& excluded) {
-  if (n == 0 || k == 0) {
-    return {};
-  }
-  const std::size_t num_chunks = (n + kSweepChunk - 1) / kSweepChunk;
-  std::vector<std::vector<SweepHit>> chunk_best(num_chunks);
-  parallel_for_indexed(pool, num_chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * kSweepChunk;
-    const std::size_t end = std::min(begin + kSweepChunk, n);
-    std::vector<SweepHit>& best = chunk_best[chunk];
-    best.reserve(std::min(k, end - begin));
-    for (std::size_t j = begin; j < end; ++j) {
-      if (excluded(j)) {
-        continue;
-      }
-      const SweepHit hit{j, score(j)};
-      if (best.size() == k && !sweep_better(hit, best.back())) {
-        continue;
-      }
-      detail::bounded_sorted_insert(best, SweepHit{hit}, k, sweep_better);
-    }
-  });
-  std::vector<SweepHit> merged;
-  merged.reserve(k + 1);
-  for (auto& best : chunk_best) {
-    detail::merge_sorted_bounded(merged, best, k, sweep_better);
-  }
-  return merged;
-}
-
-/// Streaming table top-k over a column-mirrored pool: each chunk is scored
-/// in one score_block() call (vectorized under the active SIMD tier) into
-/// a chunk-local buffer, reduced to at most k hits immediately, and the
-/// buffer is reused for the next chunk — the full score vector never
-/// exists. Result is bitwise-identical to the generic acquisition_topk
-/// over table.score(), for any thread count and any SIMD tier.
-template <class ExcludedFn>
-[[nodiscard]] std::vector<SweepHit> acquisition_topk_table(
-    const AcquisitionTable& table, const PoolColumns& columns, std::size_t k,
-    ThreadPool* pool, const ExcludedFn& excluded,
-    SimdTier tier = active_simd_tier()) {
-  const std::size_t n = columns.size();
-  if (n == 0 || k == 0) {
-    return {};
-  }
-  const std::size_t num_chunks = (n + kSweepChunk - 1) / kSweepChunk;
-  std::vector<std::vector<SweepHit>> chunk_best(num_chunks);
-  parallel_for_indexed(pool, num_chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * kSweepChunk;
-    const std::size_t end = std::min(begin + kSweepChunk, n);
-    std::vector<double> scores(end - begin);
-    table.score_block(columns, begin, end, scores.data(), tier);
-    std::vector<SweepHit>& best = chunk_best[chunk];
-    best.reserve(std::min(k, end - begin));
-    for (std::size_t j = begin; j < end; ++j) {
-      // Cheap cut first: a hit enters iff it is unexcluded AND beats the
-      // tail, so testing the (almost always false) tail compare before the
-      // exclusion probe keeps the hot loop branch-predictable without
-      // changing the result.
-      const SweepHit hit{j, scores[j - begin]};
-      if (best.size() == k && !sweep_better(hit, best.back())) {
-        continue;
-      }
-      if (excluded(j)) {
-        continue;
-      }
-      detail::bounded_sorted_insert(best, SweepHit{hit}, k, sweep_better);
-    }
-  });
-  std::vector<SweepHit> merged;
-  merged.reserve(k + 1);
-  for (auto& best : chunk_best) {
-    detail::merge_sorted_bounded(merged, best, k, sweep_better);
-  }
-  return merged;
-}
-
-/// One streamed-sweep result. Streamed candidates have no pool to index
-/// back into, so the hit carries the configuration itself, plus its raw
-/// in-pass position (the deterministic tie-break key) and its cross-product
-/// ordinal (the dedup identity).
-struct StreamHit {
-  space::Configuration config;
-  double score = 0.0;
-  std::uint64_t pass_index = 0;
-  std::uint64_t ordinal = 0;
+ private:
+  const space::CandidateStream& stream_;
+  std::uint64_t pass_ = 0;
+  std::vector<space::CandidateStream::Candidate> candidates_;
+  std::vector<std::uint32_t> levels_;
+  std::vector<const std::uint32_t*> cols_;
+  std::vector<std::uint64_t> ordinals_;
 };
 
-/// Strict ordering of a streamed sweep: descending score, ties broken by
-/// lowest in-pass index (unique within a pass, so this is a total order).
-/// On a flat unconstrained space swept exhaustively, pass indices equal
-/// pool indices, so this matches sweep_better's tie-break exactly.
-[[nodiscard]] inline bool stream_better(const StreamHit& a,
-                                        const StreamHit& b) noexcept {
-  return a.score > b.score ||
-         (a.score == b.score && a.pass_index < b.pass_index);
-}
-
-/// Deterministic chunked top-k sweep over one pass of a CandidateStream —
-/// the streamed counterpart of acquisition_topk. `score(config)` must be a
-/// pure function of the configuration; `excluded(candidate)` hides a
-/// candidate (typically by ordinal). Chunks are generated and reduced
-/// locally on `pool` (serial when null), then merged serially in chunk
-/// order under stream_better, so the result is identical for any thread
-/// count. With stream.config().chunk == kSweepChunk and an exhaustive
-/// identity pass over a flat unconstrained space, the winning candidates
-/// are bitwise-identical to acquisition_topk over the materialized pool.
-template <class ScoreFn, class ExcludedFn>
-[[nodiscard]] std::vector<StreamHit> acquisition_topk_stream(
-    const space::CandidateStream& stream, std::uint64_t pass, std::size_t k,
-    ThreadPool* pool, const ScoreFn& score, const ExcludedFn& excluded) {
-  const std::size_t num_chunks = stream.num_chunks();
-  if (num_chunks == 0 || k == 0) {
-    return {};
+/// The acquisition sweep: top-k candidates over `num_chunks` chunks, best
+/// first under sweep_better. `fill(chunk)` returns chunk `chunk` as a
+/// SweepChunk whose pointers stay valid until the next call (pool_rows or
+/// StreamChunks); chunks are filled in order and keys count candidates
+/// across them. Each chunk is scored in one score_block() call (every SIMD
+/// tier gives the same bits) and folded into one running bounded list, so
+/// the result equals scoring every candidate, sorting, and truncating to k
+/// — independent of chunk boundaries. `excluded(hit)` hides a candidate.
+/// Returns fewer than k hits when fewer candidates are unexcluded.
+template <class FillChunk, class ExcludedFn>
+[[nodiscard]] std::vector<SweepHit> acquisition_topk(
+    const AcquisitionTable& table, std::size_t num_chunks, std::size_t k,
+    FillChunk&& fill, const ExcludedFn& excluded,
+    SimdTier tier = active_simd_tier()) {
+  std::vector<SweepHit> best;
+  if (k == 0) {
+    return best;
   }
-  std::vector<std::vector<StreamHit>> chunk_best(num_chunks);
-  parallel_for_indexed(pool, num_chunks, [&](std::size_t chunk) {
-    std::vector<space::CandidateStream::Candidate> candidates;
-    stream.chunk_candidates(pass, chunk, candidates);
-    std::vector<StreamHit>& best = chunk_best[chunk];
-    best.reserve(std::min(k, candidates.size()));
-    for (auto& candidate : candidates) {
-      if (excluded(candidate)) {
+  best.reserve(k + 1);
+  std::vector<double> scores;
+  std::uint64_t key = 0;
+  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    const SweepChunk c = fill(chunk);
+    scores.resize(c.end - c.begin);
+    table.score_block(c, scores.data(), tier);
+    for (std::size_t row = c.begin; row < c.end; ++row, ++key) {
+      SweepHit hit{key, 0, scores[row - c.begin]};
+      // Cheap cut first: a hit enters iff it beats the tail AND is
+      // unexcluded, so testing the (almost always false) tail compare
+      // before the ordinal load and the exclusion probe keeps the hot loop
+      // branch-predictable without changing the result.
+      if (best.size() == k && !sweep_better(hit, best.back())) {
         continue;
       }
-      StreamHit hit{space::Configuration{}, score(candidate.config),
-                    candidate.pass_index, candidate.ordinal};
-      if (best.size() == k && !stream_better(hit, best.back())) {
+      if (c.ordinals != nullptr) {
+        hit.ordinal = c.ordinals[row];
+      }
+      if (excluded(hit)) {
         continue;
       }
-      hit.config = std::move(candidate.config);
-      detail::bounded_sorted_insert(best, std::move(hit), k, stream_better);
-    }
-  });
-  std::vector<StreamHit> merged;
-  merged.reserve(k + 1);
-  for (auto& best : chunk_best) {
-    detail::merge_sorted_bounded(merged, best, k, stream_better);
-  }
-  return merged;
-}
-
-/// Streamed top-k through the vectorized table kernel: each chunk's
-/// freshly generated candidates are transposed into per-parameter level
-/// columns (streamed spaces are all-discrete) and scored in one
-/// score_block_cols() call, then reduced exactly like
-/// acquisition_topk_stream. Bitwise-identical to the score_config()
-/// streamed sweep for any thread count and SIMD tier; the per-chunk
-/// working set stays O(kSweepChunk * num_params).
-template <class ExcludedFn>
-[[nodiscard]] std::vector<StreamHit> acquisition_topk_stream_table(
-    const space::CandidateStream& stream, std::uint64_t pass, std::size_t k,
-    ThreadPool* pool, const AcquisitionTable& table,
-    const ExcludedFn& excluded, SimdTier tier = active_simd_tier()) {
-  const std::size_t num_chunks = stream.num_chunks();
-  if (num_chunks == 0 || k == 0) {
-    return {};
-  }
-  const std::size_t n_params = table.num_params();
-  std::vector<std::vector<StreamHit>> chunk_best(num_chunks);
-  parallel_for_indexed(pool, num_chunks, [&](std::size_t chunk) {
-    std::vector<space::CandidateStream::Candidate> candidates;
-    stream.chunk_candidates(pass, chunk, candidates);
-    const std::size_t m = candidates.size();
-    std::vector<StreamHit>& best = chunk_best[chunk];
-    if (m == 0) {
-      return;
-    }
-    // Transpose the chunk's configurations into contiguous level columns —
-    // the same memory layout PoolColumns gives a materialized pool.
-    std::vector<std::uint32_t> flat(n_params * m);
-    std::vector<const std::uint32_t*> cols(n_params);
-    for (std::size_t i = 0; i < n_params; ++i) {
-      std::uint32_t* col = flat.data() + i * m;
-      cols[i] = col;
-      for (std::size_t t = 0; t < m; ++t) {
-        col[t] = static_cast<std::uint32_t>(candidates[t].config.level(i));
+      auto pos = best.end();
+      while (pos != best.begin() && sweep_better(hit, *(pos - 1))) {
+        --pos;
+      }
+      best.insert(pos, hit);
+      if (best.size() > k) {
+        best.pop_back();
       }
     }
-    std::vector<double> scores(m);
-    table.score_block_cols(cols.data(), m, scores.data(), tier);
-    best.reserve(std::min(k, m));
-    for (std::size_t t = 0; t < m; ++t) {
-      auto& candidate = candidates[t];
-      // Same cheap-cut ordering as acquisition_topk_table: tail compare
-      // before the exclusion probe, identical result either way.
-      StreamHit hit{space::Configuration{}, scores[t], candidate.pass_index,
-                    candidate.ordinal};
-      if (best.size() == k && !stream_better(hit, best.back())) {
-        continue;
-      }
-      if (excluded(candidate)) {
-        continue;
-      }
-      hit.config = std::move(candidate.config);
-      detail::bounded_sorted_insert(best, std::move(hit), k, stream_better);
-    }
-  });
-  std::vector<StreamHit> merged;
-  merged.reserve(k + 1);
-  for (auto& best : chunk_best) {
-    detail::merge_sorted_bounded(merged, best, k, stream_better);
   }
-  return merged;
+  return best;
 }
 
 }  // namespace hpb::core

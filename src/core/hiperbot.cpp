@@ -10,8 +10,8 @@ namespace {
 constexpr std::uint64_t kMaxEagerEnumeration = 1ULL << 24;
 
 std::shared_ptr<const std::vector<space::Configuration>> enumerate_pool(
-    const space::SpacePtr& space, const HiPerBOtConfig& config) {
-  if (config.sweep_source == SweepSource::kStreamed || !space->is_finite() ||
+    const space::SpacePtr& space) {
+  if (!space->is_finite() ||
       space->cross_product_exceeds(kMaxEagerEnumeration)) {
     return nullptr;
   }
@@ -23,7 +23,7 @@ std::shared_ptr<const std::vector<space::Configuration>> enumerate_pool(
 
 HiPerBOt::HiPerBOt(space::SpacePtr space, HiPerBOtConfig config,
                    std::uint64_t seed)
-    : HiPerBOt(space, config, seed, enumerate_pool(space, config)) {}
+    : HiPerBOt(space, config, seed, enumerate_pool(space)) {}
 
 HiPerBOt::HiPerBOt(
     space::SpacePtr space, HiPerBOtConfig config, std::uint64_t seed,
@@ -38,19 +38,12 @@ HiPerBOt::HiPerBOt(
   HPB_REQUIRE(config_.quantile > 0.0 && config_.quantile < 1.0,
               "HiPerBOt: quantile must be in (0,1)");
   if (config_.strategy == SelectionStrategy::kRanking) {
-    const bool want_stream =
-        config_.sweep_source == SweepSource::kStreamed ||
-        (config_.sweep_source == SweepSource::kAuto && pool_ == nullptr &&
-         space_->is_finite());
-    if (want_stream) {
+    if (pool_ == nullptr) {
       HPB_REQUIRE(space_->is_finite(),
-                  "HiPerBOt: streamed sweeps require a finite space");
-      pool_ = nullptr;  // streamed mode never touches a pool
-      stream_.emplace(space_, seed, config_.stream);
+                  "HiPerBOt: Ranking strategy needs a candidate pool or a "
+                  "finite space to stream");
+      stream_.emplace(space_, seed);
     } else {
-      HPB_REQUIRE(pool_ != nullptr,
-                  "HiPerBOt: Ranking strategy needs a finite candidate pool "
-                  "or a streamed sweep source");
       HPB_REQUIRE(!pool_->empty(), "HiPerBOt: empty candidate pool");
     }
   }
@@ -77,16 +70,16 @@ bool HiPerBOt::is_excluded(const space::Configuration& c) const {
 
 space::Configuration HiPerBOt::random_unevaluated() {
   if (pool_ != nullptr) {
-    const std::size_t excluded = evaluated_.size() + pending_.size();
-    HPB_REQUIRE(excluded < pool_->size(),
-                "HiPerBOt: candidate pool exhausted");
     // Rejection sampling needs ~pool/(pool-excluded) draws in expectation;
     // once half the pool is excluded that blows up (a 2^24-entry pool
     // evaluated down to a few free slots would spin for millions of
-    // iterations), so pick uniformly among the unexcluded entries with one
-    // linear scan instead.
-    if (excluded >= pool_->size() / 2) {
-      std::size_t r = rng_.index(pool_->size() - excluded);
+    // iterations), so pick uniformly among the unexcluded entries with a
+    // linear scan instead. The set sizes bound the excluded pool members
+    // from above, so below half of them the pool is at least half free.
+    if (evaluated_.size() + pending_.size() >= pool_->size() / 2) {
+      const std::size_t free = free_pool_slots();
+      HPB_REQUIRE(free > 0, "HiPerBOt: candidate pool exhausted");
+      std::size_t r = rng_.index(free);
       for (const auto& c : *pool_) {
         if (is_excluded(c)) {
           continue;
@@ -96,8 +89,6 @@ space::Configuration HiPerBOt::random_unevaluated() {
         }
         --r;
       }
-      // Unreachable while evaluated_/pending_ only ever hold pool members.
-      HPB_REQUIRE(false, "HiPerBOt: exclusion bookkeeping out of sync");
     }
     for (;;) {
       const auto& c = (*pool_)[rng_.index(pool_->size())];
@@ -135,154 +126,97 @@ space::Configuration HiPerBOt::random_unevaluated() {
   return {};  // unreachable
 }
 
-void HiPerBOt::ensure_columns() {
-  if (!columns_) {
+std::size_t HiPerBOt::free_pool_slots() const {
+  return static_cast<std::size_t>(std::count_if(
+      pool_->begin(), pool_->end(),
+      [&](const space::Configuration& c) { return !is_excluded(c); }));
+}
+
+std::vector<SweepHit> HiPerBOt::sweep_topk(const TpeSurrogate& s,
+                                           std::size_t k) {
+  const bool tracing = recorder_ != nullptr && recorder_->tracing();
+  const std::uint64_t sweep_start = tracing ? recorder_->now_ns() : 0;
+  if (pool_ != nullptr && !columns_) {
     columns_.emplace(*space_, *pool_);
   }
-}
-
-std::vector<SweepHit> HiPerBOt::ranked_topk(const TpeSurrogate& s,
-                                            std::size_t k) {
-  const bool tracing = recorder_ != nullptr && recorder_->tracing();
-  const std::uint64_t sweep_start = tracing ? recorder_->now_ns() : 0;
-  std::uint64_t table_built = sweep_start;
-  std::vector<SweepHit> hits;
-  if (config_.acquisition == AcquisitionMode::kDirect) {
-    const std::vector<space::Configuration>& pool = *pool_;
-    hits = acquisition_topk(
-        pool.size(), k, nullptr,
-        [&](std::size_t j) { return s.acquisition(pool[j]); },
-        [&](std::size_t j) { return is_excluded(pool[j]); });
-  } else {
-    ensure_columns();
-    // Rebuild only the table columns whose marginals changed since the
-    // previous fit (bitwise-identical scores either way); the fresh table
-    // replaces the cache for the next fit's diff.
-    table_cache_.emplace(
-        AcquisitionTable(s, *columns_,
-                         table_cache_ ? &*table_cache_ : nullptr));
-    const AcquisitionTable& table = *table_cache_;
-    if (tracing) {
-      table_built = recorder_->now_ns();
-    }
-    const PoolColumns& columns = *columns_;
-    const std::span<const std::uint64_t> ordinals = columns.ordinals();
-    const bool finite = !ordinals.empty();
-    // Streaming block sweep: per-chunk vectorized score_block under the
-    // runtime SIMD tier + bounded top-k reduction. Bitwise-identical to
-    // the per-candidate table.score() sweep for every tier/thread count.
-    hits = acquisition_topk_table(
-        table, columns, k, sweep_pool_,
-        [&](std::size_t j) {
-          if (!finite) {
-            return false;  // continuous spaces: no ordinal bookkeeping
-          }
-          const std::uint64_t ordinal = ordinals[j];
-          return evaluated_.contains(ordinal) || pending_.contains(ordinal);
-        });
-  }
-  if (recorder_ != nullptr && recorder_->metrics != nullptr) {
-    recorder_->metrics->counter("hiperbot.sweeps").add(1);
-  }
-  if (tracing) {
-    const std::uint64_t sweep_end = recorder_->now_ns();
-    const obs::TraceAttr attrs[] = {
-        obs::TraceAttr::str("mode",
-                            config_.acquisition == AcquisitionMode::kDirect
-                                ? "direct"
-                                : "table"),
-        obs::TraceAttr::str("simd",
-                            config_.acquisition == AcquisitionMode::kDirect
-                                ? "scalar"
-                                : simd_tier_name(active_simd_tier())),
-        obs::TraceAttr::uint("pool", pool_->size()),
-        obs::TraceAttr::uint("k", k),
-        obs::TraceAttr::uint("excluded", evaluated_.size() + pending_.size()),
-        obs::TraceAttr::uint("threads",
-                             sweep_pool_ != nullptr ? sweep_pool_->size() : 1),
-        obs::TraceAttr::uint("table_build_ns", table_built - sweep_start),
-        obs::TraceAttr::uint("sweep_ns", sweep_end - table_built),
-        obs::TraceAttr::uint("reused_columns",
-                             table_cache_ ? table_cache_->reused_columns()
-                                          : 0),
-    };
-    recorder_->trace->emit({.name = "hiperbot.sweep",
-                            .id = recorder_->trace->next_id(),
-                            .parent = 0,
-                            .start_ns = sweep_start,
-                            .end_ns = sweep_end,
-                            .attrs = attrs});
-  }
-  return hits;
-}
-
-std::vector<StreamHit> HiPerBOt::streamed_topk(const TpeSurrogate& s,
-                                               std::size_t k) {
-  const bool tracing = recorder_ != nullptr && recorder_->tracing();
-  const std::uint64_t sweep_start = tracing ? recorder_->now_ns() : 0;
-  std::uint64_t table_built = sweep_start;
-  // Space-keyed score table (streamed spaces are all-discrete): identical
-  // doubles to the pooled table, diffed against the previous fit's columns.
+  const PoolColumns* columns = pool_ != nullptr ? &*columns_ : nullptr;
+  // Rebuild only the table columns whose marginals changed since the
+  // previous fit (bitwise-identical scores either way); the fresh table
+  // replaces the cache for the next fit's diff, so it is built before the
+  // old one is released.
   table_cache_.emplace(
-      AcquisitionTable(s, *space_, table_cache_ ? &*table_cache_ : nullptr));
+      AcquisitionTable(s, columns, table_cache_ ? &*table_cache_ : nullptr));
   const AcquisitionTable& table = *table_cache_;
-  if (tracing) {
-    table_built = recorder_->now_ns();
+  const std::uint64_t table_built = tracing ? recorder_->now_ns() : 0;
+  // Non-finite spaces keep no ordinals: both sets stay empty.
+  const auto excluded = [&](const SweepHit& hit) {
+    return evaluated_.contains(hit.ordinal) || pending_.contains(hit.ordinal);
+  };
+  std::vector<SweepHit> hits;
+  std::uint64_t pass = 0;
+  if (columns != nullptr) {
+    hits = acquisition_topk(
+        table, (columns->size() + kSweepChunk - 1) / kSweepChunk, k,
+        [&](std::size_t chunk) {
+          const std::size_t begin = chunk * kSweepChunk;
+          return pool_rows(*columns, begin,
+                           std::min(begin + kSweepChunk, columns->size()));
+        },
+        excluded);
+  } else {
+    pass = stream_pass_++;
+    StreamChunks chunks(*stream_, pass);
+    hits = acquisition_topk(table, chunks.size(), k, chunks, excluded);
   }
-  const std::uint64_t pass = stream_pass_++;
-  // Each chunk's freshly generated candidates are transposed into level
-  // columns and scored through the same vectorized kernel as the pooled
-  // sweep (bitwise-identical to score_config per candidate).
-  std::vector<StreamHit> hits = acquisition_topk_stream_table(
-      *stream_, pass, k, sweep_pool_, table,
-      [&](const space::CandidateStream::Candidate& candidate) {
-        return evaluated_.contains(candidate.ordinal) ||
-               pending_.contains(candidate.ordinal);
-      });
   if (recorder_ != nullptr && recorder_->metrics != nullptr) {
     recorder_->metrics->counter("hiperbot.sweeps").add(1);
   }
   if (tracing) {
     const std::uint64_t sweep_end = recorder_->now_ns();
-    const obs::TraceAttr attrs[] = {
-        obs::TraceAttr::str("mode", "stream"),
-        obs::TraceAttr::str("simd", simd_tier_name(active_simd_tier())),
-        obs::TraceAttr::uint("pass", pass),
-        obs::TraceAttr::uint("pass_length", stream_->pass_length()),
-        obs::TraceAttr::uint("k", k),
-        obs::TraceAttr::uint("excluded", evaluated_.size() + pending_.size()),
-        obs::TraceAttr::uint("threads",
-                             sweep_pool_ != nullptr ? sweep_pool_->size() : 1),
-        obs::TraceAttr::uint("table_build_ns", table_built - sweep_start),
-        obs::TraceAttr::uint("sweep_ns", sweep_end - table_built),
-        obs::TraceAttr::uint("reused_columns",
-                             table_cache_ ? table_cache_->reused_columns()
-                                          : 0),
-    };
+    obs::TraceAttr attrs[9];
+    std::size_t n = 0;
+    attrs[n++] =
+        obs::TraceAttr::str("mode", columns != nullptr ? "table" : "stream");
+    attrs[n++] =
+        obs::TraceAttr::str("simd", simd_tier_name(active_simd_tier()));
+    if (columns != nullptr) {
+      attrs[n++] = obs::TraceAttr::uint("pool", pool_->size());
+    } else {
+      attrs[n++] = obs::TraceAttr::uint("pass", pass);
+      attrs[n++] = obs::TraceAttr::uint("pass_length", stream_->pass_length());
+    }
+    attrs[n++] = obs::TraceAttr::uint("k", k);
+    attrs[n++] =
+        obs::TraceAttr::uint("excluded", evaluated_.size() + pending_.size());
+    attrs[n++] =
+        obs::TraceAttr::uint("table_build_ns", table_built - sweep_start);
+    attrs[n++] = obs::TraceAttr::uint("sweep_ns", sweep_end - table_built);
+    attrs[n++] = obs::TraceAttr::uint("reused_columns", table.reused_columns());
     recorder_->trace->emit({.name = "hiperbot.sweep",
                             .id = recorder_->trace->next_id(),
                             .parent = 0,
                             .start_ns = sweep_start,
                             .end_ns = sweep_end,
-                            .attrs = attrs});
+                            .attrs = std::span(attrs, n)});
   }
   return hits;
+}
+
+space::Configuration HiPerBOt::candidate(const SweepHit& hit) const {
+  return pool_ != nullptr ? (*pool_)[hit.key]
+                          : space_->configuration_at(hit.ordinal);
 }
 
 space::Configuration HiPerBOt::suggest_ranking(const TpeSurrogate& s) {
-  if (stream_) {
-    std::vector<StreamHit> hits = streamed_topk(s, 1);
-    if (hits.empty()) {
-      // A sampled pass can come back empty (tight constraints, or every
-      // candidate it produced is already excluded) without the space being
-      // exhausted — fall back to exploration instead of failing.
-      return random_unevaluated();
-    }
-    return std::move(hits.front().config);
+  const std::vector<SweepHit> hits = sweep_topk(s, 1);
+  if (!hits.empty()) {
+    return candidate(hits.front());
   }
-  const std::vector<SweepHit> hits = ranked_topk(s, 1);
-  HPB_REQUIRE(!hits.empty(), "HiPerBOt: candidate pool exhausted");
-  return (*pool_)[hits.front().index];
+  HPB_REQUIRE(stream_.has_value(), "HiPerBOt: candidate pool exhausted");
+  // A sampled pass can come back empty (tight constraints, or every
+  // candidate it produced is already excluded) without the space being
+  // exhausted — fall back to exploration instead of failing.
+  return random_unevaluated();
 }
 
 space::Configuration HiPerBOt::suggest_proposal(const TpeSurrogate& s) {
@@ -363,7 +297,8 @@ std::vector<space::Configuration> HiPerBOt::suggest_batch(std::size_t k) {
   };
   auto pool_exhausted = [&] {
     return pool_ != nullptr &&
-           evaluated_.size() + pending_.size() >= pool_->size();
+           evaluated_.size() + pending_.size() >= pool_->size() &&
+           free_pool_slots() == 0;
   };
 
   if (history_.size() < config_.initial_samples) {
@@ -375,22 +310,14 @@ std::vector<space::Configuration> HiPerBOt::suggest_batch(std::size_t k) {
 
   const TpeSurrogate surrogate = fit_surrogate();
   if (config_.strategy == SelectionStrategy::kRanking) {
-    if (stream_) {
-      // Top-k of the next stream pass (ties toward the lowest in-pass
-      // index, matching the serial argmax). An empty pass falls back to
-      // one exploration draw so the caller always makes progress.
-      for (StreamHit& hit : streamed_topk(surrogate, k)) {
-        take(std::move(hit.config));
-      }
-      if (batch.empty()) {
-        take(random_unevaluated());
-      }
-    } else {
-      // Top-k available candidates by acquisition (ties toward the lowest
-      // pool index, matching the serial argmax).
-      for (const SweepHit& hit : ranked_topk(surrogate, k)) {
-        take((*pool_)[hit.index]);
-      }
+    // Top-k available candidates by acquisition (ties toward the lowest
+    // key, matching the serial argmax). An empty stream pass falls back to
+    // one exploration draw so the caller always makes progress.
+    for (const SweepHit& hit : sweep_topk(surrogate, k)) {
+      take(candidate(hit));
+    }
+    if (batch.empty() && stream_) {
+      take(random_unevaluated());
     }
     if (recorder_ != nullptr && recorder_->active() && !batch.empty()) {
       export_fit(surrogate, surrogate.acquisition(batch.front()));

@@ -18,7 +18,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/acquisition.hpp"
 #include "core/surrogate.hpp"
 #include "core/tuner.hpp"
@@ -31,32 +30,9 @@ enum class SelectionStrategy {
   kProposal,  // sample candidates from pg(x)
 };
 
-enum class AcquisitionMode {
-  /// Precomputed per-fit score tables swept over the structure-of-arrays
-  /// pool mirror (core/acquisition.hpp); parallel when a sweep pool is
-  /// installed. The default — scores, and therefore suggestions, are
-  /// bitwise-identical to kDirect at any thread count.
-  kTable,
-  /// Per-candidate TpeSurrogate::acquisition calls, always serial. The
-  /// pre-table reference path, kept as a test/bench hook.
-  kDirect,
-};
-
 enum class InitialDesign {
   kUniform,         // the paper's protocol: i.i.d. uniform samples
   kLatinHypercube,  // space-filling alternative (ablation)
-};
-
-enum class SweepSource {
-  /// Pooled when a pool is available; streamed when the space is finite but
-  /// too large to enumerate. The default.
-  kAuto,
-  /// Force the materialized-pool sweep (throws when no pool can be built).
-  kPooled,
-  /// Force the streamed sweep even when a pool would fit, dropping any
-  /// pool. The equivalence-test hook: on a flat unconstrained space the
-  /// streamed path must produce bitwise-identical suggestions to kPooled.
-  kStreamed,
 };
 
 struct HiPerBOtConfig {
@@ -72,17 +48,6 @@ struct HiPerBOtConfig {
   std::size_t proposal_candidates = 64;
   /// Density estimation knobs (histogram smoothing, KDE bandwidth).
   DensityConfig density;
-  /// How Ranking sweeps score the candidate pool (kTable = fast path;
-  /// kDirect = per-candidate reference evaluation). Suggestions are
-  /// identical either way.
-  AcquisitionMode acquisition = AcquisitionMode::kTable;
-  /// Where Ranking sweeps draw their candidates from: a materialized pool
-  /// or a streamed CandidateStream over the space (Proposal ignores this).
-  SweepSource sweep_source = SweepSource::kAuto;
-  /// Candidate-generation knobs for streamed sweeps (chunk size, sampled
-  /// pass budget). Defaults match the pooled sweep's chunking so flat
-  /// unconstrained spaces are bitwise-identical either way.
-  space::StreamConfig stream;
   /// Transfer-prior mixture weight w of eq. 9–10 (used only when a prior is
   /// installed via set_transfer_prior).
   double transfer_weight = 1.0;
@@ -106,19 +71,16 @@ class HiPerBOt final : public Tuner {
   HiPerBOt(space::SpacePtr space, HiPerBOtConfig config, std::uint64_t seed);
 
   /// Reuse an existing enumeration (avoids re-enumerating a large space for
-  /// every replicated run). Must contain only valid configurations.
+  /// every replicated run). Must contain only valid configurations. A null
+  /// pool on a finite space streams: Ranking then sweeps CandidateStream
+  /// passes, which on a flat unconstrained space suggest bitwise what the
+  /// enumerated pool would.
   HiPerBOt(space::SpacePtr space, HiPerBOtConfig config, std::uint64_t seed,
            std::shared_ptr<const std::vector<space::Configuration>> pool);
 
   /// Install the transfer-learning prior (eq. 9–10); weight comes from
   /// config.transfer_weight.
   void set_transfer_prior(TransferPrior prior);
-
-  /// Worker pool for the Ranking acquisition sweep (not owned; must outlive
-  /// suggest calls). Null (the default) sweeps serially. The sweep uses
-  /// fixed chunk boundaries and lowest-index tie-breaking, so suggestions
-  /// are bitwise-identical for any pool size, including none.
-  void set_sweep_pool(ThreadPool* pool) noexcept { sweep_pool_ = pool; }
 
   [[nodiscard]] space::Configuration suggest() override;
 
@@ -169,19 +131,20 @@ class HiPerBOt final : public Tuner {
   [[nodiscard]] space::Configuration initial_suggestion();
   [[nodiscard]] space::Configuration suggest_ranking(const TpeSurrogate& s);
   [[nodiscard]] space::Configuration suggest_proposal(const TpeSurrogate& s);
-  /// The streamed Ranking sweep: top-k candidates of the next stream pass
-  /// by acquisition score, best first, ties toward the lowest in-pass
-  /// index. Scores come from a space-keyed AcquisitionTable, so they match
-  /// the pooled table (and direct) path bit for bit.
-  [[nodiscard]] std::vector<StreamHit> streamed_topk(const TpeSurrogate& s,
-                                                     std::size_t k);
-  /// The Ranking sweep: top-k unexcluded pool candidates by acquisition
-  /// score, best first, ties toward the lowest pool index. Dispatches on
-  /// config_.acquisition and emits the hiperbot.sweep span when tracing.
-  [[nodiscard]] std::vector<SweepHit> ranked_topk(const TpeSurrogate& s,
-                                                  std::size_t k);
-  /// Build the structure-of-arrays pool mirror on first use.
-  void ensure_columns();
+  /// The Ranking sweep: top-k unexcluded candidates by acquisition score,
+  /// best first, ties toward the lowest key. Sweeps the pool when there is
+  /// one, otherwise the next stream pass; emits the hiperbot.sweep span
+  /// when tracing.
+  [[nodiscard]] std::vector<SweepHit> sweep_topk(const TpeSurrogate& s,
+                                                 std::size_t k);
+  /// The configuration behind a sweep hit: the pool entry at its key, or
+  /// the streamed candidate decoded from its ordinal (the same decode
+  /// CandidateStream used, so the same values bit for bit).
+  [[nodiscard]] space::Configuration candidate(const SweepHit& hit) const;
+  /// Unexcluded pool members, counted by a scan. evaluated_ and pending_
+  /// may hold ordinals outside a sparse pool (warm starts, observes of
+  /// other configurations), so their sizes only bound the taken slots.
+  [[nodiscard]] std::size_t free_pool_slots() const;
   /// Drop the first pending configuration with these values, if present.
   void erase_pending_config(const space::Configuration& config);
   /// Export the internals of one surrogate fit (good/bad split sizes, KDE
@@ -196,11 +159,10 @@ class HiPerBOt final : public Tuner {
   History history_;
   std::shared_ptr<const std::vector<space::Configuration>> pool_;
   std::optional<PoolColumns> columns_;  // SoA pool mirror, built lazily
-  /// Streamed candidate source for Ranking on spaces with no pool (or with
-  /// sweep_source == kStreamed). Mutually exclusive with pool_.
+  /// Streamed candidate source for Ranking on finite spaces with no pool.
+  /// Mutually exclusive with pool_.
   std::optional<space::CandidateStream> stream_;
   std::uint64_t stream_pass_ = 0;  // next stream pass to sweep
-  ThreadPool* sweep_pool_ = nullptr;    // Ranking sweep workers, not owned
   std::unordered_set<std::uint64_t> evaluated_;  // ordinals, finite spaces
   std::unordered_set<std::uint64_t> pending_;    // batched, not yet observed
   /// The pending configurations themselves, in suggestion order: the

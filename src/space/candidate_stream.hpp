@@ -12,9 +12,7 @@
 //
 // Determinism contract: chunk_candidates(pass, chunk) is a pure function of
 // (space, seed, pass, chunk) with a fixed chunk size, so generating a pass
-// with 1 thread or N threads yields the same candidate sequence, and a
-// chunk-local top-k reduction merged in chunk order is thread-count
-// independent (see core/acquisition.hpp).
+// with 1 thread or N threads yields the same candidate sequence.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +23,12 @@
 
 namespace hpb::space {
 
-/// Generation knobs. The defaults match HiPerBOt's pooled sweep so a
-/// streamed sweep over a flat unconstrained space is bitwise-identical to
-/// the materialized-pool path.
+/// Generation knobs. With the defaults, a pass over a flat unconstrained
+/// space of at most max_exhaustive points is enumerate() in ordinal order,
+/// so HiPerBOt's streamed sweep there is bitwise-identical to its pooled
+/// one.
 struct StreamConfig {
-  /// Raw indices per chunk; must equal core::kSweepChunk for pooled parity.
+  /// Raw indices per chunk (the sweep's top-k is independent of it).
   std::size_t chunk = 8192;
 
   /// Spaces with cross product <= this use the identity permutation and a
@@ -45,8 +44,8 @@ struct StreamConfig {
 class CandidateStream {
  public:
   /// One streamed candidate: the decoded configuration, its raw position
-  /// within the pass (the deterministic tie-break key for top-k merges),
-  /// and its stable cross-product ordinal (the dedup identity).
+  /// within the pass (candidates of a pass ascend in it), and its stable
+  /// cross-product ordinal (the dedup identity).
   struct Candidate {
     Configuration config;
     std::uint64_t pass_index = 0;

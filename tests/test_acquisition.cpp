@@ -1,10 +1,12 @@
 // Acquisition sweep engine (core/acquisition.hpp) and the suggest-path
 // fixes that ride along with it:
-//   - score tables are bitwise-identical to TpeSurrogate::acquisition;
-//   - the chunked top-k sweep is deterministic for any thread count and
-//     breaks ties toward the lowest candidate index;
+//   - score tables are bitwise-identical to TpeSurrogate::acquisition, and
+//     reuse a previous table's column only over the same distinct values;
+//   - the chunked top-k sweep breaks ties toward the lowest key, and the
+//     tuner's suggestions, pooled or streamed, match the sweep oracle;
 //   - serial suggest() marks its choice pending (no duplicate suggestions);
-//   - the dense-exclusion random phase terminates via the linear-scan path;
+//   - the dense-exclusion random phase terminates via the linear-scan path,
+//     and observations outside a sparse pool take no pool slot;
 //   - degenerate KDEs yield uniform importance marginals instead of aborting;
 //   - History::split and make_transfer_prior agree on the rank-based split.
 #include "core/acquisition.hpp"
@@ -13,13 +15,12 @@
 
 #include <bit>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "core/hiperbot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -45,7 +46,7 @@ TEST(Acquisition, TableMatchesDirectBitwiseOnDiscreteSpace) {
   }
   const TpeSurrogate s(ds.space_ptr(), h, 0.2);
   const PoolColumns columns(ds.space(), pool);
-  const AcquisitionTable table(s, columns);
+  const AcquisitionTable table(s, &columns);
   for (std::size_t j = 0; j < pool.size(); ++j) {
     EXPECT_EQ(bits(table.score(columns, j)), bits(s.acquisition(pool[j])))
         << "candidate " << j;
@@ -71,119 +72,162 @@ TEST(Acquisition, TableMatchesDirectBitwiseOnMixedSpace) {
   EXPECT_TRUE(columns.is_continuous(1));
   EXPECT_EQ(columns.table_size(1), 4u);  // 5 grid points, one repeated
   EXPECT_TRUE(columns.ordinals().empty());  // not a finite space
-  const AcquisitionTable table(s, columns);
+  const AcquisitionTable table(s, &columns);
   for (std::size_t j = 0; j < pool.size(); ++j) {
     EXPECT_EQ(bits(table.score(columns, j)), bits(s.acquisition(pool[j])))
         << "candidate " << j;
   }
 }
 
-// ------------------------------------------- deterministic chunked sweeps
-
-TEST(Acquisition, TopkIdenticalForAnyThreadCount) {
-  // Spans multiple fixed chunks and has heavy score ties (j % 97), so both
-  // the chunk reduction and the tie-break are exercised.
-  const std::size_t n = 3 * kSweepChunk + 123;
-  const auto score = [](std::size_t j) {
-    return static_cast<double>(j % 97);
-  };
-  const auto excluded = [](std::size_t j) { return j % 5 == 0; };
-  const std::vector<SweepHit> serial =
-      acquisition_topk(n, 7, nullptr, score, excluded);
-  ASSERT_EQ(serial.size(), 7u);
-  // Best score is 96, first reached at j=96 (not divisible by 5).
-  EXPECT_EQ(serial.front().index, 96u);
-  EXPECT_EQ(serial.front().score, 96.0);
-  for (std::size_t threads : {1u, 2u, 7u}) {
-    ThreadPool pool(threads);
-    const std::vector<SweepHit> parallel =
-        acquisition_topk(n, 7, &pool, score, excluded);
-    ASSERT_EQ(parallel.size(), serial.size()) << threads << " threads";
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].index, serial[i].index) << threads << " threads";
-      EXPECT_EQ(bits(parallel[i].score), bits(serial[i].score));
+TEST(Acquisition, TableReuseNeedsEqualDistinctValues) {
+  // Two pools over the mixed space with as many distinct t values each, so
+  // the layouts match; only the continuous rows' values differ. Reusing
+  // pool A's t columns for pool B would score B at A's values.
+  auto space = testutil::mixed_space();
+  auto pool_over = [](double t0, double t1) {
+    std::vector<Configuration> pool;
+    for (double level : {0.0, 1.0, 2.0}) {
+      for (double t : {t0, t1}) {
+        pool.emplace_back(std::vector<double>{level, t});
+      }
     }
+    return pool;
+  };
+  const std::vector<Configuration> pool_a = pool_over(1.0, 2.0);
+  const std::vector<Configuration> pool_b = pool_over(6.0, 9.0);
+  History h;
+  for (double t : {0.5, 1.5, 3.0, 4.5, 7.0, 8.5}) {
+    h.add(Configuration(std::vector<double>{t < 4.0 ? 0.0 : 2.0, t}), t);
   }
+  const TpeSurrogate s(space, h, 0.3);
+  const PoolColumns columns_a(*space, pool_a);
+  const PoolColumns columns_b(*space, pool_b);
+  const AcquisitionTable table_a(s, &columns_a);
+  const AcquisitionTable table_b(s, &columns_b, &table_a);
+  EXPECT_EQ(table_b.reused_columns(), 2u);  // the discrete good/bad pair
+  for (std::size_t j = 0; j < pool_b.size(); ++j) {
+    EXPECT_EQ(bits(table_b.score(columns_b, j)),
+              bits(s.acquisition(pool_b[j])))
+        << "candidate " << j;
+  }
+  // Over the same distinct values every column is reused.
+  const PoolColumns columns_a2(*space, pool_over(1.0, 2.0));
+  EXPECT_EQ(AcquisitionTable(s, &columns_a2, &table_a).reused_columns(), 4u);
 }
+
+// ------------------------------------------------------- the sweep itself
 
 TEST(Acquisition, TopkBreaksTiesTowardLowestIndex) {
-  const auto constant = [](std::size_t) { return 1.5; };
-  const auto hits = acquisition_topk(
-      1000, 3, nullptr, constant, [](std::size_t j) { return j == 1; });
+  // Every candidate indexes row 0 of every column, so all scores tie; the
+  // uneven chunks check that keys count across chunk boundaries.
+  auto ds = testutil::separable_dataset();
+  const std::vector<Configuration> pool = ds.space_ptr()->enumerate();
+  History h;
+  for (std::size_t j = 0; j < pool.size(); j += 5) {
+    h.add(pool[j], ds.value_of(pool[j]));
+  }
+  const TpeSurrogate s(ds.space_ptr(), h, 0.2);
+  const AcquisitionTable table(s);
+  const std::vector<std::uint32_t> zeros(1000, 0);
+  const std::vector<const std::uint32_t*> cols(ds.space().num_params(),
+                                               zeros.data());
+  std::vector<std::uint64_t> ordinals(1000);
+  for (std::size_t j = 0; j < ordinals.size(); ++j) {
+    ordinals[j] = 7 * j;
+  }
+  const std::size_t bounds[] = {0, 1, 400, 401, 1000};
+  const auto fill = [&](std::size_t chunk) {
+    return SweepChunk{cols.data(), bounds[chunk], bounds[chunk + 1],
+                      ordinals.data()};
+  };
+  const auto hits =
+      acquisition_topk(table, 4, 3, fill,
+                       [](const SweepHit& hit) { return hit.ordinal == 7; });
   ASSERT_EQ(hits.size(), 3u);
-  EXPECT_EQ(hits[0].index, 0u);
-  EXPECT_EQ(hits[1].index, 2u);  // index 1 is excluded
-  EXPECT_EQ(hits[2].index, 3u);
-  EXPECT_TRUE(acquisition_topk(0, 3, nullptr, constant,
-                               [](std::size_t) { return false; })
-                  .empty());
+  EXPECT_EQ(hits[0].key, 0u);
+  EXPECT_EQ(hits[1].key, 2u);  // key 1 (ordinal 7) is excluded
+  EXPECT_EQ(hits[2].key, 3u);
+  EXPECT_EQ(hits[2].ordinal, 21u);
+  EXPECT_EQ(bits(hits[0].score), bits(hits[2].score));
+  const auto none = [](const SweepHit&) { return false; };
+  EXPECT_TRUE(acquisition_topk(table, 0, 3, fill, none).empty());
+  EXPECT_TRUE(acquisition_topk(table, 4, 0, fill, none).empty());
 }
 
-// ----------------------- tuner sweeps: thread-count and mode invariance
+// ------------------------------- tuner sweeps: pooled and streamed vs oracle
 
-// One tuning run's observable outputs: the suggested ordinals and, once the
-// surrogate is live, the bit pattern of the exported best-acquisition gauge.
-std::vector<std::uint64_t> ranking_run(AcquisitionMode mode, int threads) {
+// Null pool: the tuner streams the (flat, small) space instead.
+HiPerBOt make_tuner(const tabular::TabularObjective& ds,
+                    const HiPerBOtConfig& config, std::uint64_t seed,
+                    bool streamed) {
+  return streamed ? HiPerBOt(ds.space_ptr(), config, seed, nullptr)
+                  : HiPerBOt(ds.space_ptr(), config, seed);
+}
+
+TEST(Acquisition, SuggestionsMatchOracle) {
   auto ds = testutil::separable_dataset();
+  const std::vector<Configuration> pool = ds.space_ptr()->enumerate();
   HiPerBOtConfig config;
   config.initial_samples = 8;
-  config.acquisition = mode;
-  HiPerBOt tuner(ds.space_ptr(), config, 99);
-  obs::MetricsRegistry metrics;
-  const obs::Recorder rec{.metrics = &metrics};
-  tuner.set_recorder(&rec);
-  std::optional<ThreadPool> pool;
-  if (threads >= 0) {
-    pool.emplace(static_cast<std::size_t>(threads));
-    tuner.set_sweep_pool(&*pool);
-  }
-  std::vector<std::uint64_t> seq;
-  for (int t = 0; t < 30; ++t) {
-    const Configuration c = tuner.suggest();
-    seq.push_back(ds.space().ordinal_of(c));
-    if (t >= 8) {
-      seq.push_back(bits(metrics.gauge("hiperbot.acquisition_best").value()));
-    }
-    tuner.observe(c, ds.value_of(c));
-  }
-  return seq;
-}
-
-TEST(Acquisition, SuggestionsIdenticalAcrossThreadCountsAndVsDirect) {
-  const auto reference = ranking_run(AcquisitionMode::kTable, -1);
-  EXPECT_EQ(ranking_run(AcquisitionMode::kTable, 1), reference);
-  EXPECT_EQ(ranking_run(AcquisitionMode::kTable, 2), reference);
-  EXPECT_EQ(ranking_run(AcquisitionMode::kTable, 7), reference);
-  EXPECT_EQ(ranking_run(AcquisitionMode::kTable, 0), reference);  // hardware
-  EXPECT_EQ(ranking_run(AcquisitionMode::kDirect, -1), reference);
-}
-
-std::vector<std::uint64_t> batch_run(AcquisitionMode mode, int threads) {
-  auto ds = testutil::separable_dataset();
-  HiPerBOtConfig config;
-  config.initial_samples = 6;
-  config.acquisition = mode;
-  HiPerBOt tuner(ds.space_ptr(), config, 41);
-  std::optional<ThreadPool> pool;
-  if (threads >= 0) {
-    pool.emplace(static_cast<std::size_t>(threads));
-    tuner.set_sweep_pool(&*pool);
-  }
-  std::vector<std::uint64_t> seq;
-  for (int round = 0; round < 8; ++round) {
-    for (const Configuration& c : tuner.suggest_batch(3)) {
-      seq.push_back(ds.space().ordinal_of(c));
+  for (const bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "streamed" : "pooled");
+    HiPerBOt tuner = make_tuner(ds, config, 99, streamed);
+    obs::MetricsRegistry metrics;
+    const obs::Recorder rec{.metrics = &metrics};
+    tuner.set_recorder(&rec);
+    std::set<std::uint64_t> observed;
+    for (int t = 0; t < 30; ++t) {
+      std::vector<SweepHit> expected;
+      if (t >= 8) {
+        expected = testutil::oracle_topk(
+            tuner.fit_surrogate(), pool, 1, [&](const SweepHit& hit) {
+              return observed.contains(hit.ordinal);
+            });
+        ASSERT_EQ(expected.size(), 1u);
+      }
+      const Configuration c = tuner.suggest();
+      if (t >= 8) {
+        EXPECT_EQ(c.values(), pool[expected.front().key].values())
+            << "step " << t;
+        EXPECT_EQ(bits(metrics.gauge("hiperbot.acquisition_best").value()),
+                  bits(expected.front().score));
+      }
+      observed.insert(ds.space().ordinal_of(c));
       tuner.observe(c, ds.value_of(c));
     }
   }
-  return seq;
 }
 
-TEST(Acquisition, BatchesIdenticalAcrossThreadCountsAndVsDirect) {
-  const auto reference = batch_run(AcquisitionMode::kTable, -1);
-  EXPECT_EQ(batch_run(AcquisitionMode::kTable, 2), reference);
-  EXPECT_EQ(batch_run(AcquisitionMode::kTable, 7), reference);
-  EXPECT_EQ(batch_run(AcquisitionMode::kDirect, -1), reference);
+TEST(Acquisition, BatchesMatchOracle) {
+  auto ds = testutil::separable_dataset();
+  const std::vector<Configuration> pool = ds.space_ptr()->enumerate();
+  HiPerBOtConfig config;
+  config.initial_samples = 6;
+  for (const bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "streamed" : "pooled");
+    HiPerBOt tuner = make_tuner(ds, config, 41, streamed);
+    std::set<std::uint64_t> observed;
+    for (int round = 0; round < 8; ++round) {
+      std::vector<SweepHit> expected;
+      const bool model = tuner.history().size() >= config.initial_samples;
+      if (model) {
+        expected = testutil::oracle_topk(
+            tuner.fit_surrogate(), pool, 3, [&](const SweepHit& hit) {
+              return observed.contains(hit.ordinal);
+            });
+      }
+      const std::vector<Configuration> batch = tuner.suggest_batch(3);
+      ASSERT_EQ(batch.size(), 3u);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (model) {
+          EXPECT_EQ(batch[i].values(), pool[expected[i].key].values())
+              << "round " << round << " member " << i;
+        }
+        observed.insert(ds.space().ordinal_of(batch[i]));
+        tuner.observe(batch[i], ds.value_of(batch[i]));
+      }
+    }
+  }
 }
 
 // ----------------------------------------- serial suggest() marks pending
@@ -264,6 +308,41 @@ TEST(SuggestPending, DenseExclusionReturnsEachFreeConfigOnce) {
   got.insert(ds.space().ordinal_of(tuner.suggest()));
   EXPECT_EQ(got, free_ordinals);
   EXPECT_THROW((void)tuner.suggest(), Error);
+}
+
+TEST(SuggestPending, ObservationsOutsideASparsePoolTakeNoPoolSlot) {
+  // The pool holds 4 of the 60 configurations; the observations (say, warm
+  // start rows) are 4 others. They are excluded, but take no pool slot, so
+  // every pool member is still suggested exactly once.
+  auto ds = testutil::separable_dataset();
+  const std::vector<Configuration> all = ds.space_ptr()->enumerate();
+  const auto pool = std::make_shared<const std::vector<Configuration>>(
+      std::vector<Configuration>{all[3], all[17], all[29], all[58]});
+  std::set<std::uint64_t> members;
+  for (const Configuration& c : *pool) {
+    members.insert(ds.space().ordinal_of(c));
+  }
+  const auto observe_outsiders = [&](HiPerBOt& tuner) {
+    for (std::size_t j : {0u, 1u, 2u, 4u}) {
+      tuner.observe(all[j], ds.value_of(all[j]));
+    }
+  };
+  HiPerBOt serial(ds.space_ptr(), {}, 8, pool);
+  observe_outsiders(serial);
+  std::set<std::uint64_t> got;
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_TRUE(got.insert(ds.space().ordinal_of(serial.suggest())).second);
+  }
+  EXPECT_EQ(got, members);
+  EXPECT_THROW((void)serial.suggest(), Error);
+
+  HiPerBOt batched(ds.space_ptr(), {}, 8, pool);
+  observe_outsiders(batched);
+  got.clear();
+  for (const Configuration& c : batched.suggest_batch(6)) {
+    EXPECT_TRUE(got.insert(ds.space().ordinal_of(c)).second);
+  }
+  EXPECT_EQ(got, members);
 }
 
 // --------------------------------------------- degenerate KDE importance
@@ -355,6 +434,7 @@ class SweepSpanSink final : public obs::TraceSink {
       } else if (attr.key == "pool") {
         last_pool_ = attr.uint_value;
       }
+      keys_.insert(std::string(attr.key));
     }
   }
 
@@ -362,6 +442,7 @@ class SweepSpanSink final : public obs::TraceSink {
   int sweep_spans_ = 0;
   std::string last_mode_;
   std::uint64_t last_pool_ = 0;
+  std::set<std::string> keys_;
 };
 
 TEST(Acquisition, SweepEmitsSpanAndCountsSweeps) {
@@ -381,6 +462,10 @@ TEST(Acquisition, SweepEmitsSpanAndCountsSweeps) {
   EXPECT_EQ(metrics.counter("hiperbot.sweeps").value(), 2u);
   EXPECT_EQ(sink.last_mode_, "table");
   EXPECT_EQ(sink.last_pool_, 60u);
+  EXPECT_EQ(sink.keys_,
+            (std::set<std::string>{"mode", "simd", "pool", "k", "excluded",
+                                   "table_build_ns", "sweep_ns",
+                                   "reused_columns"}));
 }
 
 }  // namespace

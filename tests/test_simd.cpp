@@ -7,12 +7,12 @@
 //     every compiled tier, across randomized conditional/constrained
 //     discrete spaces, a mixed discrete+continuous pool, and unaligned
 //     block boundaries (vector-width tails);
-//   - the streaming table top-k (pooled and streamed variants) reproduces
-//     the generic per-candidate sweep exactly — hits, score bits, and
-//     order — for every tier, any thread count, and multi-chunk pools
-//     where the bounded merge actually truncates;
+//   - the acquisition top-k, over pool chunks or stream chunks, reproduces
+//     the sweep oracle exactly — hits, score bits, and order — for every
+//     tier and any chunking, including multi-chunk pools where the bounded
+//     list actually truncates;
 //   - HiPerBOt's suggestions are identical under every forced HPB_SIMD
-//     tier, for both pooled and streamed Ranking sweeps.
+//     tier, for both pooled and streamed (null-pool) Ranking sweeps.
 #include "core/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "core/acquisition.hpp"
 #include "core/hiperbot.hpp"
 #include "space/candidate_stream.hpp"
@@ -103,9 +102,34 @@ struct TableFixture {
     }
     surrogate.emplace(space, history, 0.2);
     columns.emplace(*space, pool);
-    table.emplace(*surrogate, *columns);
+    table.emplace(*surrogate, &*columns);
   }
 };
+
+/// Top-k over a column-mirrored pool in chunks of `rows` candidates.
+template <class ExcludedFn>
+std::vector<SweepHit> pool_topk(const AcquisitionTable& table,
+                                const PoolColumns& columns, std::size_t rows,
+                                std::size_t k, const ExcludedFn& excluded,
+                                SimdTier tier) {
+  return acquisition_topk(
+      table, (columns.size() + rows - 1) / rows, k,
+      [&](std::size_t chunk) {
+        return pool_rows(columns, chunk * rows,
+                         std::min(chunk * rows + rows, columns.size()));
+      },
+      excluded, tier);
+}
+
+void expect_same_hits(const std::vector<SweepHit>& got,
+                      const std::vector<SweepHit>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(got[i].key, expected[i].key) << "hit " << i;
+    EXPECT_EQ(got[i].ordinal, expected[i].ordinal) << "hit " << i;
+    EXPECT_EQ(bits(got[i].score), bits(expected[i].score)) << "hit " << i;
+  }
+}
 
 // ----------------------------------------------- dispatch + env override
 
@@ -170,7 +194,7 @@ TEST(SimdDispatch, ScoreBlockBitwiseParityOnRandomSpaces) {
     }
     for (const SimdTier tier : tiers) {
       std::vector<double> out(n);
-      fx.table->score_block(*fx.columns, 0, n, out.data(), tier);
+      fx.table->score_block(pool_rows(*fx.columns, 0, n), out.data(), tier);
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(bits(out[j]), bits(reference[j]))
             << simd_tier_name(tier) << " candidate " << j;
@@ -186,7 +210,7 @@ TEST(SimdDispatch, ScoreBlockHandlesUnalignedRangesAndTails) {
   const std::size_t n = fx.pool.size();
   ASSERT_GE(n, 12u);
   std::vector<double> reference(n);
-  fx.table->score_block(*fx.columns, 0, n, reference.data(),
+  fx.table->score_block(pool_rows(*fx.columns, 0, n), reference.data(),
                         SimdTier::kScalar);
   for (const SimdTier tier : available_tiers()) {
     for (const auto [begin, end] :
@@ -195,7 +219,8 @@ TEST(SimdDispatch, ScoreBlockHandlesUnalignedRangesAndTails) {
           {0, 7},
           {n - 5, n}}) {
       std::vector<double> out(end - begin);
-      fx.table->score_block(*fx.columns, begin, end, out.data(), tier);
+      fx.table->score_block(pool_rows(*fx.columns, begin, end), out.data(),
+                            tier);
       for (std::size_t j = begin; j < end; ++j) {
         ASSERT_EQ(bits(out[j - begin]), bits(reference[j]))
             << simd_tier_name(tier) << " range [" << begin << ", " << end
@@ -223,14 +248,14 @@ TEST(SimdDispatch, ScoreBlockBitwiseParityOnMixedSpace) {
   const TpeSurrogate s(space, h, 0.3);
   const PoolColumns columns(*space, pool);
   ASSERT_TRUE(columns.is_continuous(1));
-  const AcquisitionTable table(s, columns);
+  const AcquisitionTable table(s, &columns);
   std::vector<double> reference(pool.size());
   for (std::size_t j = 0; j < pool.size(); ++j) {
     reference[j] = table.score(columns, j);
   }
   for (const SimdTier tier : available_tiers()) {
     std::vector<double> out(pool.size());
-    table.score_block(columns, 0, pool.size(), out.data(), tier);
+    table.score_block(pool_rows(columns, 0, pool.size()), out.data(), tier);
     for (std::size_t j = 0; j < pool.size(); ++j) {
       EXPECT_EQ(bits(out[j]), bits(reference[j]))
           << simd_tier_name(tier) << " candidate " << j;
@@ -244,31 +269,29 @@ TEST(StreamingTopk, TableTopkMatchesGenericSweepOnRandomSpaces) {
   for (std::uint64_t t = 0; t < 30; ++t) {
     SCOPED_TRACE("space seed " + std::to_string(t));
     const TableFixture fx(0x70C0'0000 + t);
-    const auto excluded = [&](std::size_t j) {
-      return fx.columns->ordinals()[j] % 7 == 0;
+    const auto excluded = [](const SweepHit& hit) {
+      return hit.ordinal % 7 == 0;
     };
     for (const std::size_t k : {std::size_t{1}, std::size_t{5}}) {
-      const std::vector<SweepHit> reference = acquisition_topk(
-          fx.columns->size(), k, nullptr,
-          [&](std::size_t j) { return fx.table->score(*fx.columns, j); },
-          excluded);
+      const std::vector<SweepHit> reference =
+          testutil::oracle_topk(*fx.surrogate, fx.pool, k, excluded);
       for (const SimdTier tier : available_tiers()) {
-        const std::vector<SweepHit> got = acquisition_topk_table(
-            *fx.table, *fx.columns, k, nullptr, excluded, tier);
-        ASSERT_EQ(got.size(), reference.size()) << simd_tier_name(tier);
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-          EXPECT_EQ(got[i].index, reference[i].index) << simd_tier_name(tier);
-          EXPECT_EQ(bits(got[i].score), bits(reference[i].score));
+        SCOPED_TRACE(std::string(simd_tier_name(tier)));
+        // One chunk, and small chunks that split every pool.
+        for (const std::size_t rows : {kSweepChunk, std::size_t{7}}) {
+          expect_same_hits(
+              pool_topk(*fx.table, *fx.columns, rows, k, excluded, tier),
+              reference);
         }
       }
     }
   }
 }
 
-TEST(StreamingTopk, MultiChunkBoundedMergeMatchesGenericForAnyThreadCount) {
-  // A 2^16 pool spans 8 fixed chunks, so the bounded per-chunk lists and
-  // the serial merge both truncate; heavy score ties (few levels) exercise
-  // the lowest-index tie-break through the merge.
+TEST(StreamingTopk, MultiChunkTopkMatchesOracle) {
+  // A 2^16 pool spans 8 fixed chunks, so the bounded list truncates across
+  // chunk boundaries; heavy score ties (few levels) exercise the
+  // lowest-key tie-break. The result must not depend on the chunking.
   auto space = std::make_shared<space::ParameterSpace>();
   for (int i = 0; i < 4; ++i) {
     space->add(space::Parameter::integer("p" + std::to_string(i), 0, 15));
@@ -281,31 +304,24 @@ TEST(StreamingTopk, MultiChunkBoundedMergeMatchesGenericForAnyThreadCount) {
   }
   const TpeSurrogate s(space, h, 0.2);
   const PoolColumns columns(*space, pool);
-  const AcquisitionTable table(s, columns);
-  const auto excluded = [&](std::size_t j) {
-    return columns.ordinals()[j] % 5 == 0;
+  const AcquisitionTable table(s, &columns);
+  const auto excluded = [](const SweepHit& hit) {
+    return hit.ordinal % 5 == 0;
   };
-  const std::vector<SweepHit> reference = acquisition_topk(
-      columns.size(), 7, nullptr,
-      [&](std::size_t j) { return table.score(columns, j); }, excluded);
+  const std::vector<SweepHit> reference =
+      testutil::oracle_topk(s, pool, 7, excluded);
   ASSERT_EQ(reference.size(), 7u);
-  ThreadPool pool1(1), pool2(2), pool7(7), pool_hw(0);
-  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool7, &pool_hw};
   for (const SimdTier tier : available_tiers()) {
-    for (ThreadPool* workers : pools) {
-      const std::vector<SweepHit> got =
-          acquisition_topk_table(table, columns, 7, workers, excluded, tier);
-      ASSERT_EQ(got.size(), reference.size()) << simd_tier_name(tier);
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(got[i].index, reference[i].index) << simd_tier_name(tier);
-        EXPECT_EQ(bits(got[i].score), bits(reference[i].score));
-      }
+    SCOPED_TRACE(std::string(simd_tier_name(tier)));
+    for (const std::size_t rows :
+         {kSweepChunk, std::size_t{1000}, pool.size()}) {
+      expect_same_hits(pool_topk(table, columns, rows, 7, excluded, tier),
+                       reference);
     }
   }
 }
 
 TEST(StreamingTopk, StreamedTableSweepMatchesScoreConfigSweep) {
-  ThreadPool pool2(2);
   for (std::uint64_t t = 0; t < 30; ++t) {
     SCOPED_TRACE("space seed " + std::to_string(t));
     auto space = testutil::random_conditional_space(0x57E0'0000 + t);
@@ -315,28 +331,30 @@ TEST(StreamingTopk, StreamedTableSweepMatchesScoreConfigSweep) {
       h.add(pool[j], toy_value(pool[j], j));
     }
     const TpeSurrogate s(space, h, 0.2);
-    const AcquisitionTable table(s, *space);
+    const AcquisitionTable table(s);
     // Small chunks force a multi-chunk streamed pass.
     const space::CandidateStream stream(space, /*seed=*/t,
                                         space::StreamConfig{.chunk = 64});
-    const auto excluded = [](const space::CandidateStream::Candidate& c) {
-      return c.ordinal % 3 == 0;
+    const auto excluded = [](const SweepHit& hit) {
+      return hit.ordinal % 3 == 0;
     };
-    const std::vector<StreamHit> reference = acquisition_topk_stream(
-        stream, /*pass=*/0, /*k=*/5, nullptr,
-        [&](const Configuration& c) { return table.score_config(c); },
-        excluded);
+    // The per-configuration reference: the pass's valid candidates in
+    // order, each scored by TpeSurrogate::acquisition.
+    std::vector<Configuration> candidates;
+    for (auto& candidate : stream.pass_candidates(0)) {
+      candidates.push_back(std::move(candidate.config));
+    }
+    const std::vector<SweepHit> reference =
+        testutil::oracle_topk(s, candidates, 5, excluded);
     for (const SimdTier tier : available_tiers()) {
-      for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool2}) {
-        const std::vector<StreamHit> got = acquisition_topk_stream_table(
-            stream, /*pass=*/0, /*k=*/5, workers, table, excluded, tier);
-        ASSERT_EQ(got.size(), reference.size()) << simd_tier_name(tier);
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-          EXPECT_EQ(got[i].config.values(), reference[i].config.values());
-          EXPECT_EQ(bits(got[i].score), bits(reference[i].score));
-          EXPECT_EQ(got[i].pass_index, reference[i].pass_index);
-          EXPECT_EQ(got[i].ordinal, reference[i].ordinal);
-        }
+      SCOPED_TRACE(std::string(simd_tier_name(tier)));
+      StreamChunks chunks(stream, /*pass=*/0);
+      const std::vector<SweepHit> got =
+          acquisition_topk(table, chunks.size(), 5, chunks, excluded, tier);
+      expect_same_hits(got, reference);
+      for (const SweepHit& hit : got) {
+        EXPECT_EQ(space->configuration_at(hit.ordinal).values(),
+                  candidates[hit.key].values());
       }
     }
   }
@@ -344,14 +362,13 @@ TEST(StreamingTopk, StreamedTableSweepMatchesScoreConfigSweep) {
 
 // -------------------------------- end-to-end: forced tiers, same tuner run
 
-std::vector<std::uint64_t> forced_tier_run(SweepSource source) {
+std::vector<std::uint64_t> forced_tier_run(bool streamed) {
   auto ds = testutil::separable_dataset();
   HiPerBOtConfig config;
   config.initial_samples = 8;
-  config.sweep_source = source;
-  HiPerBOt tuner(ds.space_ptr(), config, 99);
-  ThreadPool pool(2);
-  tuner.set_sweep_pool(&pool);
+  // A null pool streams the space instead of sweeping its enumeration.
+  HiPerBOt tuner = streamed ? HiPerBOt(ds.space_ptr(), config, 99, nullptr)
+                            : HiPerBOt(ds.space_ptr(), config, 99);
   std::vector<std::uint64_t> seq;
   for (int t = 0; t < 25; ++t) {
     const Configuration c = tuner.suggest();
@@ -365,8 +382,8 @@ std::vector<std::uint64_t> forced_tier_run(SweepSource source) {
 TEST(StreamingTopk, SuggestionsIdenticalUnderEveryForcedTier) {
   SimdEnvGuard guard;
   guard.set("off");
-  const auto pooled_reference = forced_tier_run(SweepSource::kPooled);
-  const auto streamed_reference = forced_tier_run(SweepSource::kStreamed);
+  const auto pooled_reference = forced_tier_run(false);
+  const auto streamed_reference = forced_tier_run(true);
   // Streamed and pooled sweeps agree on a flat space (pinned elsewhere);
   // here both must also be tier-invariant.
   EXPECT_EQ(streamed_reference, pooled_reference);
@@ -375,9 +392,9 @@ TEST(StreamingTopk, SuggestionsIdenticalUnderEveryForcedTier) {
       continue;
     }
     guard.set(std::string(simd_tier_name(tier)));
-    EXPECT_EQ(forced_tier_run(SweepSource::kPooled), pooled_reference)
+    EXPECT_EQ(forced_tier_run(false), pooled_reference)
         << simd_tier_name(tier);
-    EXPECT_EQ(forced_tier_run(SweepSource::kStreamed), streamed_reference)
+    EXPECT_EQ(forced_tier_run(true), streamed_reference)
         << simd_tier_name(tier);
   }
 }

@@ -211,30 +211,22 @@ TEST(SpaceProperties, SamplePoolDrawsDistinctValidConfigurations) {
 
 TEST(StreamedSweep, MatchesPooledSuggestionsBitwiseOnFlatSpaces) {
   const SpacePtr s = testutil::small_discrete_space();  // 60 configs, flat
-  core::HiPerBOtConfig pooled_config;
-  pooled_config.initial_samples = 8;
-  pooled_config.sweep_source = core::SweepSource::kPooled;
-  core::HiPerBOtConfig streamed_config = pooled_config;
-  streamed_config.sweep_source = core::SweepSource::kStreamed;
+  core::HiPerBOtConfig config;
+  config.initial_samples = 8;
 
-  ThreadPool pool7(7);
-  core::HiPerBOt pooled(s, pooled_config, /*seed=*/21);
-  core::HiPerBOt streamed(s, streamed_config, /*seed=*/21);
-  core::HiPerBOt threaded(s, streamed_config, /*seed=*/21);
-  threaded.set_sweep_pool(&pool7);
+  core::HiPerBOt pooled(s, config, /*seed=*/21);
+  // A null pool on a finite space streams it.
+  core::HiPerBOt streamed(s, config, /*seed=*/21, nullptr);
 
   // Keep the evaluated set under half the pool so the pooled path stays on
   // its rejection-sampling branch — the regime the parity contract pins.
   for (int t = 0; t < 25; ++t) {
     const Configuration a = pooled.suggest();
     const Configuration b = streamed.suggest();
-    const Configuration c = threaded.suggest();
     EXPECT_EQ(a.values(), b.values()) << "diverged at step " << t;
-    EXPECT_EQ(a.values(), c.values()) << "diverged at step " << t;
     const double y = testutil::separable_value(a);
     pooled.observe(a, y);
     streamed.observe(b, y);
-    threaded.observe(c, y);
   }
 }
 
@@ -256,11 +248,13 @@ TEST(StreamedSweep, MatchesPooledJournalBytesOnFlatSpaces) {
   header.num_params = ds.space().num_params();
   header.max_evaluations = 24;
 
-  auto run = [&](core::SweepSource source, const std::string& path) {
+  auto run = [&](bool streamed, const std::string& path) {
     core::HiPerBOtConfig config;
     config.initial_samples = 8;
-    config.sweep_source = source;
-    core::HiPerBOt tuner(ds.space_ptr(), config, header.seed);
+    // A null pool streams the space instead of sweeping its enumeration.
+    core::HiPerBOt tuner =
+        streamed ? core::HiPerBOt(ds.space_ptr(), config, header.seed, nullptr)
+                 : core::HiPerBOt(ds.space_ptr(), config, header.seed);
     core::JournalWriter writer = core::JournalWriter::create(path, header);
     const core::TuningEngine engine({.batch_size = 3, .journal = &writer});
     core::StopConfig stop;
@@ -271,8 +265,8 @@ TEST(StreamedSweep, MatchesPooledJournalBytesOnFlatSpaces) {
   const std::string pooled_path = ::testing::TempDir() + "sweep_pooled.hpbj";
   const std::string streamed_path =
       ::testing::TempDir() + "sweep_streamed.hpbj";
-  const auto pooled = run(core::SweepSource::kPooled, pooled_path);
-  const auto streamed = run(core::SweepSource::kStreamed, streamed_path);
+  const auto pooled = run(false, pooled_path);
+  const auto streamed = run(true, streamed_path);
   EXPECT_EQ(pooled.result.best_value, streamed.result.best_value);
   EXPECT_EQ(slurp(pooled_path), slurp(streamed_path));
 }

@@ -2,14 +2,18 @@
 // spaces and objectives used across module tests.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/acquisition.hpp"
+#include "core/surrogate.hpp"
 #include "space/parameter_space.hpp"
 #include "tabular/tabular_objective.hpp"
 
@@ -99,6 +103,30 @@ inline space::SpacePtr random_conditional_space(std::uint64_t seed) {
     }
   }
   return s;
+}
+
+/// The sweep oracle: score every unexcluded candidate with
+/// TpeSurrogate::acquisition, sort under sweep_better, keep the first k.
+/// Keys are positions in `candidates`; ordinals are space ordinals (0 on a
+/// non-finite space). Every acquisition sweep must agree with it bitwise.
+template <class ExcludedFn>
+std::vector<core::SweepHit> oracle_topk(
+    const core::TpeSurrogate& s,
+    std::span<const space::Configuration> candidates, std::size_t k,
+    const ExcludedFn& excluded) {
+  const space::ParameterSpace& space = s.good().space();
+  std::vector<core::SweepHit> hits;
+  for (std::size_t j = 0; j < candidates.size(); ++j) {
+    const core::SweepHit hit{
+        j, space.is_finite() ? space.ordinal_of(candidates[j]) : 0,
+        s.acquisition(candidates[j])};
+    if (!excluded(hit)) {
+      hits.push_back(hit);
+    }
+  }
+  std::sort(hits.begin(), hits.end(), core::sweep_better);
+  hits.resize(std::min(hits.size(), k));
+  return hits;
 }
 
 }  // namespace hpb::testutil

@@ -16,7 +16,7 @@
 # (tests/test_simd.cpp), re-run with HPB_SIMD forced to every tier this
 # machine can execute; then a ThreadSanitizer build running the concurrency-sensitive
 # subset (engine, thread pool, watchdog, shutdown, metrics hot path,
-# session manager, line server, recovery/overload/drain, streamed-sweep
+# session manager, line server, recovery/overload/drain, stream pass
 # thread-count invariance); then a fault-injected
 # shootout smoke run (HPB_FAIL_RATE=0.2), a CLI crash-resume smoke
 # (journal a run, truncate the journal mid-record, resume, and require
@@ -26,6 +26,10 @@
 # the daemon mid-storm, restart, require bitwise-identical resumed
 # suggest sequences), and the gcov line-coverage gate for src/core +
 # src/obs + src/space (tools/coverage.sh).
+#
+# Every filtered ctest call passes --no-tests=error, so a regex that stops
+# matching (a renamed suite) fails the script instead of silently running
+# nothing under the sanitizers.
 #
 # Usage: tools/check.sh    (from anywhere; builds into build/,
 #                           build-asan/, and build-tsan/ at the repo root)
@@ -44,7 +48,7 @@ echo "== ASan + UBSan: engine + failure-path + journal + observability + service
 cmake -B build-asan -S . -DHPB_SANITIZE=address \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$jobs"
-ctest --test-dir build-asan --output-on-failure -j "$jobs" \
+ctest --test-dir build-asan --output-on-failure -j "$jobs" --no-tests=error \
   -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk'
 
 echo
@@ -62,7 +66,7 @@ esac
 for tier in $simd_tiers; do
   echo "-- HPB_SIMD=$tier --"
   HPB_SIMD="$tier" ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'SimdDispatch|StreamingTopk|Acquisition|SuggestPending'
+    --no-tests=error -R 'SimdDispatch|StreamingTopk|Acquisition|SuggestPending'
 done
 
 echo
@@ -70,16 +74,9 @@ echo "== TSan: engine / thread-pool / watchdog / shutdown / metrics / service te
 cmake -B build-tsan -S . -DHPB_SANITIZE=thread \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$jobs"
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
+ctest --test-dir build-tsan --output-on-failure -j "$jobs" --no-tests=error \
   -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk'
 
-echo
-echo "== TSan, HPB_SIMD forced: threaded sweeps under every runnable tier =="
-for tier in $simd_tiers; do
-  echo "-- HPB_SIMD=$tier --"
-  HPB_SIMD="$tier" ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'SimdDispatch|StreamingTopk'
-done
 
 echo
 echo "== acquisition sweep micro-bench smoke =="

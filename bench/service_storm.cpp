@@ -944,9 +944,10 @@ int run(Options opt) {
     die("completed " + std::to_string(completed) + " of " +
         std::to_string(opt.sessions) + " sessions");
   }
-  if (manager.resident_count() != 0) {
+  const core::ManagerHealth health = manager.health();
+  if (health.resident != 0) {
     die("expected every session closed, " +
-        std::to_string(manager.resident_count()) + " still resident");
+        std::to_string(health.resident) + " still resident");
   }
   const Percentiles suggest = summarize(suggest_ns);
   const Percentiles observe = summarize(observe_ns);
@@ -962,19 +963,19 @@ int run(Options opt) {
               observe.p50_ms, observe.p99_ms, observe.mean_ms, observe.count);
   std::printf("  manager        %llu created, %llu evicted, %llu resumed, "
               "%llu closed\n",
-              static_cast<unsigned long long>(manager.created_count()),
-              static_cast<unsigned long long>(manager.evicted_count()),
-              static_cast<unsigned long long>(manager.resumed_count()),
-              static_cast<unsigned long long>(manager.closed_count()));
+              static_cast<unsigned long long>(health.created),
+              static_cast<unsigned long long>(health.evicted),
+              static_cast<unsigned long long>(health.resumed),
+              static_cast<unsigned long long>(health.closed));
 
   // Interleaved windows larger than the residency cap must actually have
   // exercised the eviction/resume path — a silent zero here would mean the
   // bench measured nothing but the hot path.
   if (opt.max_resident < opt.workers * opt.window &&
-      (manager.evicted_count() == 0 || manager.resumed_count() == 0)) {
+      (health.evicted == 0 || health.resumed == 0)) {
     die("eviction/resume path was not exercised (evicted=" +
-        std::to_string(manager.evicted_count()) + ", resumed=" +
-        std::to_string(manager.resumed_count()) + ")");
+        std::to_string(health.evicted) + ", resumed=" +
+        std::to_string(health.resumed) + ")");
   }
 
   // Straggler-skewed throughput: the same service, one client per mode.
@@ -1057,8 +1058,9 @@ int run(Options opt) {
             std::to_string(chaos.resuggested_rounds) + ", \"rounds\": " +
             std::to_string(chaos.rounds) + ", \"bitwise_equal\": true},\n";
   }
-  json += "  \"evicted\": " + std::to_string(manager.evicted_count()) + ",\n";
-  json += "  \"resumed\": " + std::to_string(manager.resumed_count()) + ",\n";
+  const core::ManagerHealth final_health = manager.health();
+  json += "  \"evicted\": " + std::to_string(final_health.evicted) + ",\n";
+  json += "  \"resumed\": " + std::to_string(final_health.resumed) + ",\n";
   json += "  \"connections\": " +
           std::to_string(server.connections_accepted()) + "\n}\n";
   std::FILE* f = std::fopen(opt.out.c_str(), "w");

@@ -29,7 +29,7 @@ SessionConfig TuningEngine::session_config(StopConfig stop) const {
 void TuningEngine::drive_round(Session& session, tabular::Objective& objective,
                                std::size_t k) const {
   const obs::Recorder& rec = config_.recorder;
-  std::vector<space::Configuration> batch = session.suggest(k);
+  std::vector<Suggestion> batch = session.suggest(k);
   // The watchdog path only engages when a deadline or stop flag exists;
   // otherwise the historical call path runs untouched.
   const bool watched =
@@ -53,7 +53,7 @@ void TuningEngine::drive_round(Session& session, tabular::Objective& objective,
                   ? CancellationToken::Clock::now() + config_.eval_deadline
                   : CancellationToken::Clock::time_point::max(),
               config_.stop_flag);
-          r = objective.evaluate_result(batch[i], token);
+          r = objective.evaluate_result(batch[i].config, token);
           // Only kCrashed is plausibly transient; bounded retries occupy
           // the same budget slot — but not once the token fired: the time
           // allocation is spent.
@@ -61,7 +61,7 @@ void TuningEngine::drive_round(Session& session, tabular::Objective& objective,
                r.status == EvalStatus::kCrashed &&
                retry < config_.failure.max_retries && !token.cancelled();
                ++retry) {
-            r = objective.evaluate_result(batch[i], token);
+            r = objective.evaluate_result(batch[i].config, token);
             ++attempts;
           }
           // An evaluation that comes back after its deadline exceeded its
@@ -72,14 +72,14 @@ void TuningEngine::drive_round(Session& session, tabular::Objective& objective,
             r = tabular::EvalResult::failure(EvalStatus::kTimeout);
           }
         } else {
-          r = objective.evaluate_result(batch[i]);
+          r = objective.evaluate_result(batch[i].config);
           // Only kCrashed is plausibly transient; bounded retries occupy
           // the same budget slot.
           for (std::size_t retry = 0;
                r.status == EvalStatus::kCrashed &&
                retry < config_.failure.max_retries;
                ++retry) {
-            r = objective.evaluate_result(batch[i]);
+            r = objective.evaluate_result(batch[i].config);
             ++attempts;
           }
         }
@@ -96,9 +96,9 @@ void TuningEngine::drive_round(Session& session, tabular::Objective& objective,
   observations.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     observations.push_back(
-        {std::move(batch[i]), results[i].value, results[i].status});
+        {std::move(batch[i].config), results[i].value, results[i].status});
   }
-  session.observe(std::move(observations), meters);
+  session.observe(observations, meters);
 }
 
 TuneResult TuningEngine::run(Tuner& tuner, tabular::Objective& objective,

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -59,6 +60,34 @@ bool parse_bits(std::string_view tok, double& out) {
   return true;
 }
 
+/// Parse `num_params` value tokens starting at tokens[first].
+bool parse_config(std::span<const std::string_view> tokens, std::size_t first,
+                  std::size_t num_params, space::Configuration& out) {
+  std::vector<double> values(num_params, 0.0);
+  for (std::size_t p = 0; p < num_params; ++p) {
+    if (!parse_bits(tokens[first + p], values[p])) {
+      return false;
+    }
+  }
+  out = space::Configuration(std::move(values));
+  return true;
+}
+
+/// Parse the outcome of an observation record (obs and aobs lines alike).
+/// A successful observation never carries NaN (the writer reserves it for
+/// failed records), so NaN bits under an ok status are corruption.
+/// Infinities stay legal: extreme objective values round-trip exactly.
+bool parse_outcome(std::string_view status, std::string_view y,
+                   Observation& out) {
+  try {
+    out.status = tabular::status_from_name(std::string(status));
+  } catch (const Error&) {
+    return false;
+  }
+  return parse_bits(y, out.y) &&
+         !(out.status == tabular::EvalStatus::kOk && std::isnan(out.y));
+}
+
 /// Split a line into at most `max_tokens` space-separated tokens; the last
 /// token keeps the rest of the line verbatim (meta values and end reasons
 /// may contain spaces).
@@ -90,12 +119,14 @@ std::string errno_text() { return std::strerror(errno); }
 
 // ---------------------------------------------------------------- writer
 
-JournalWriter::JournalWriter(std::string path, int fd, std::size_t next_round)
-    : path_(std::move(path)), fd_(fd), next_round_(next_round) {}
+JournalWriter::JournalWriter(std::string path, int fd, bool async,
+                             std::size_t next_round)
+    : path_(std::move(path)), fd_(fd), async_(async), next_round_(next_round) {}
 
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
     : path_(std::move(other.path_)),
       fd_(std::exchange(other.fd_, -1)),
+      async_(other.async_),
       next_round_(other.next_round_) {}
 
 JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
@@ -105,6 +136,7 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
     }
     path_ = std::move(other.path_);
     fd_ = std::exchange(other.fd_, -1);
+    async_ = other.async_;
     next_round_ = other.next_round_;
   }
   return *this;
@@ -143,7 +175,7 @@ JournalWriter JournalWriter::create(const std::string& path,
   if (fd < 0) {
     throw IoError("journal open '" + path + "': " + errno_text(), errno);
   }
-  JournalWriter writer(path, fd, 0);
+  JournalWriter writer(path, fd, header.async, 0);
   // The whole header goes out in one durable write: it is either entirely
   // present or the journal is unusable — no torn-header states to handle.
   std::ostringstream head;
@@ -189,63 +221,56 @@ JournalWriter JournalWriter::append(const std::string& path,
     throw IoError("journal truncate '" + path + "': " + std::strerror(err),
                   err);
   }
-  JournalWriter writer(path, fd, contents.rounds.size());
+  JournalWriter writer(path, fd, contents.header.async,
+                       contents.count(JournalEvent::Kind::kAsk));
   fs::sync_fd(fd, path);
   return writer;
 }
 
-void JournalWriter::begin_round(std::size_t requested, std::size_t actual) {
-  HPB_REQUIRE(actual > 0 && actual <= requested,
-              "journal begin_round: actual batch out of range");
+void JournalWriter::begin(std::size_t requested, std::uint64_t first_token,
+                          std::span<const space::Configuration> batch) {
+  HPB_REQUIRE(!batch.empty() && batch.size() <= requested,
+              "journal begin: actual batch out of range");
+  HPB_REQUIRE(first_token > 0, "journal begin: tokens start at 1");
   std::ostringstream line;
-  line << "round " << next_round_ << ' ' << requested << ' ' << actual;
+  if (async_) {
+    line << "ask " << requested << ' ' << first_token << ' ' << batch.size();
+    for (const space::Configuration& c : batch) {
+      for (std::size_t p = 0; p < c.size(); ++p) {
+        line << ' ' << hex16(c[p]);
+      }
+    }
+  } else {
+    line << "round " << next_round_ << ' ' << requested << ' ' << batch.size();
+  }
   write_line(line.str());
   ++next_round_;
 }
 
-void JournalWriter::append_observation(const Observation& o) {
+void JournalWriter::record(std::uint64_t token, const Observation& o) {
   std::ostringstream line;
-  line << "obs " << tabular::status_name(o.status) << ' ' << hex16(o.y);
-  for (std::size_t p = 0; p < o.config.size(); ++p) {
+  if (async_) {
+    line << "aobs " << token << ' ';
+  } else {
+    line << "obs ";
+  }
+  line << tabular::status_name(o.status) << ' ' << hex16(o.y);
+  for (std::size_t p = 0; !async_ && p < o.config.size(); ++p) {
     line << ' ' << hex16(o.config[p]);
   }
   write_line(line.str());
 }
 
-void JournalWriter::abandon_round() {
-  HPB_REQUIRE(next_round_ > 0,
-              "journal abandon_round: no round has been opened");
-  write_line("abandon");
-}
-
-void JournalWriter::begin_ask(std::size_t requested,
-                              std::uint64_t first_token,
-                              std::span<const space::Configuration> batch) {
-  HPB_REQUIRE(!batch.empty() && batch.size() <= requested,
-              "journal begin_ask: actual batch out of range");
-  HPB_REQUIRE(first_token > 0, "journal begin_ask: tokens start at 1");
-  std::ostringstream line;
-  line << "ask " << requested << ' ' << first_token << ' ' << batch.size();
-  for (const space::Configuration& c : batch) {
-    for (std::size_t p = 0; p < c.size(); ++p) {
-      line << ' ' << hex16(c[p]);
-    }
+void JournalWriter::cancel(std::span<const std::uint64_t> tokens) {
+  HPB_REQUIRE(!tokens.empty() && next_round_ > 0,
+              "journal cancel: no suggestion has been recorded to release");
+  if (!async_) {
+    write_line("abandon");
+    return;
   }
-  write_line(line.str());
-}
-
-void JournalWriter::append_async_observation(std::uint64_t token,
-                                             const Observation& o) {
-  std::ostringstream line;
-  line << "aobs " << token << ' ' << tabular::status_name(o.status) << ' '
-       << hex16(o.y);
-  write_line(line.str());
-}
-
-void JournalWriter::append_cancel(std::uint64_t token) {
-  std::ostringstream line;
-  line << "acancel " << token;
-  write_line(line.str());
+  for (const std::uint64_t token : tokens) {
+    write_line("acancel " + std::to_string(token));
+  }
 }
 
 void JournalWriter::finalize(std::string_view reason) {
@@ -343,176 +368,129 @@ JournalContents read_journal(const std::string& path) {
   HPB_REQUIRE(!h.method.empty() && h.num_params > 0 && h.batch_size > 0,
               "read_journal: incomplete header in '" + path + "'");
 
-  if (h.async) {
-    // Asynchronous body: one self-contained event line per verb. Every
-    // valid line extends the durable prefix on its own — there is no
-    // multi-line round to tear, only the final line.
-    std::unordered_map<std::uint64_t, space::Configuration> outstanding;
-    std::uint64_t next_token = 1;
-    for (;;) {
-      if (!next_line(line)) {
-        break;
-      }
-      const auto tokens = split_all(line);
-      if (tokens.size() == 2 && tokens[0] == "end") {
-        contents.finalized = true;
-        contents.finish_reason = tokens[1];
-        break;  // valid_bytes deliberately excludes the end marker
-      }
-      AsyncEvent event;
-      if (tokens.size() >= 4 && tokens[0] == "ask") {
-        std::uint64_t requested = 0, first_token = 0, actual = 0;
-        if (!parse_u64(tokens[1], requested) ||
-            !parse_u64(tokens[2], first_token) ||
-            !parse_u64(tokens[3], actual) || actual == 0 ||
-            actual > requested || first_token != next_token ||
-            tokens.size() != 4 + actual * h.num_params) {
-          break;  // torn or foreign tail; the prefix so far stands
-        }
-        event.kind = AsyncEvent::Kind::kAsk;
-        event.requested = static_cast<std::size_t>(requested);
-        event.first_token = first_token;
-        bool ok = true;
-        for (std::uint64_t i = 0; i < actual && ok; ++i) {
-          std::vector<double> values(h.num_params, 0.0);
-          for (std::size_t p = 0; p < h.num_params && ok; ++p) {
-            ok = parse_bits(tokens[4 + i * h.num_params + p], values[p]);
-          }
-          if (ok) {
-            event.configs.emplace_back(std::move(values));
-          }
-        }
-        if (!ok) {
-          break;
-        }
-        for (std::uint64_t i = 0; i < actual; ++i) {
-          outstanding.emplace(first_token + i, event.configs[i]);
-        }
-        next_token = first_token + actual;
-      } else if (tokens.size() == 4 && tokens[0] == "aobs") {
-        std::uint64_t token = 0;
-        if (!parse_u64(tokens[1], token)) {
-          break;
-        }
-        const auto it = outstanding.find(token);
-        if (it == outstanding.end()) {
-          break;  // unknown/already-resolved token: corruption, stop here
-        }
-        event.kind = AsyncEvent::Kind::kObserve;
-        event.token = token;
-        try {
-          event.observation.status =
-              tabular::status_from_name(std::string(tokens[2]));
-        } catch (const Error&) {
-          break;
-        }
-        if (!parse_bits(tokens[3], event.observation.y)) {
-          break;
-        }
-        // NaN under an ok status is corruption, exactly as for sync obs
-        // records; infinities stay legal.
-        if (event.observation.status == tabular::EvalStatus::kOk &&
-            std::isnan(event.observation.y)) {
-          break;
-        }
-        event.observation.config = it->second;
-        outstanding.erase(it);
-      } else if (tokens.size() == 2 && tokens[0] == "acancel") {
-        std::uint64_t token = 0;
-        if (!parse_u64(tokens[1], token)) {
-          break;
-        }
-        const auto it = outstanding.find(token);
-        if (it == outstanding.end()) {
-          break;
-        }
-        event.kind = AsyncEvent::Kind::kCancel;
-        event.token = token;
-        event.observation.config = it->second;
-        outstanding.erase(it);
-      } else {
-        break;
-      }
-      contents.events.push_back(std::move(event));
-      contents.valid_bytes = offset;
-    }
-    return contents;
-  }
+  // Body events, until the end marker, EOF, or the first torn/malformed
+  // line. Both dialects append to contents.events; a unit (a sync round,
+  // an async line) that does not parse adds nothing, so the events always
+  // describe exactly the durable prefix.
+  using Kind = JournalEvent::Kind;
+  std::vector<JournalEvent>& events = contents.events;
+  // Issued tokens the journal has not resolved yet (async dialect; a sync
+  // round resolves its tokens within its own block).
+  std::unordered_map<std::uint64_t, space::Configuration> outstanding;
+  std::uint64_t next_token = 1;
+  std::size_t rounds = 0;
 
-  // Rounds, until the end marker, EOF, or the first torn/malformed line.
+  // Async dialect: one self-contained line per verb commits on its own.
+  const auto read_async_line = [&](std::span<const std::string_view> tokens) {
+    if (tokens.size() >= 4 && tokens[0] == "ask") {
+      std::uint64_t requested = 0, first_token = 0, actual = 0;
+      if (!parse_u64(tokens[1], requested) ||
+          !parse_u64(tokens[2], first_token) ||
+          !parse_u64(tokens[3], actual) || actual == 0 ||
+          actual > requested || first_token != next_token ||
+          (tokens.size() - 4) % h.num_params != 0 ||
+          actual != (tokens.size() - 4) / h.num_params) {
+        return false;  // (a product check could overflow on a forged count)
+      }
+      JournalEvent ask{.kind = Kind::kAsk,
+                       .requested = static_cast<std::size_t>(requested),
+                       .first_token = first_token,
+                       .actual = static_cast<std::size_t>(actual)};
+      ask.configs.resize(ask.actual);
+      for (std::size_t i = 0; i < ask.actual; ++i) {
+        if (!parse_config(tokens, 4 + i * h.num_params, h.num_params,
+                          ask.configs[i])) {
+          return false;
+        }
+      }
+      for (std::size_t i = 0; i < ask.actual; ++i) {
+        outstanding.emplace(first_token + i, ask.configs[i]);
+      }
+      next_token = first_token + actual;
+      events.push_back(std::move(ask));
+      return true;
+    }
+    const bool observe = tokens.size() == 4 && tokens[0] == "aobs";
+    if (!observe && !(tokens.size() == 2 && tokens[0] == "acancel")) {
+      return false;
+    }
+    JournalEvent event{.kind = observe ? Kind::kObserve : Kind::kCancel};
+    if (!parse_u64(tokens[1], event.token)) {
+      return false;
+    }
+    // An unknown or already-resolved token is corruption: stop here.
+    const auto it = outstanding.find(event.token);
+    if (it == outstanding.end() ||
+        (observe && !parse_outcome(tokens[2], tokens[3], event.observation))) {
+      return false;
+    }
+    event.observation.config = std::move(it->second);
+    outstanding.erase(it);
+    events.push_back(std::move(event));
+    return true;
+  };
+
+  // Sync dialect: a round marker and its <actual> obs lines (or a single
+  // abandon line) commit together.
+  const auto read_sync_round = [&](std::span<const std::string_view> tokens) {
+    std::uint64_t index = 0, requested = 0, actual = 0;
+    if (tokens.size() != 4 || tokens[0] != "round" ||
+        !parse_u64(tokens[1], index) || !parse_u64(tokens[2], requested) ||
+        !parse_u64(tokens[3], actual) || index != rounds || actual == 0 ||
+        actual > requested) {
+      return false;
+    }
+    JournalEvent ask{.kind = Kind::kAsk,
+                     .requested = static_cast<std::size_t>(requested),
+                     .first_token = next_token,
+                     .actual = static_cast<std::size_t>(actual)};
+    std::vector<JournalEvent> members;
+    for (std::size_t i = 0; i < ask.actual; ++i) {
+      std::string_view member;
+      if (!next_line(member)) {
+        return false;
+      }
+      // A round marker directly followed by an abandon marker is a
+      // cancelled round: no observations ever existed, and replay
+      // re-suggests then abandons it instead of re-evaluating.
+      if (i == 0 && member == "abandon") {
+        for (std::size_t t = 0; t < ask.actual; ++t) {
+          members.push_back({.kind = Kind::kCancel, .token = next_token + t});
+        }
+        break;
+      }
+      const auto fields = split_all(member);
+      JournalEvent observed{.kind = Kind::kObserve, .token = next_token + i};
+      if (fields.size() != 3 + h.num_params || fields[0] != "obs" ||
+          !parse_outcome(fields[1], fields[2], observed.observation) ||
+          !parse_config(fields, 3, h.num_params,
+                        observed.observation.config)) {
+        return false;
+      }
+      ask.configs.push_back(observed.observation.config);
+      members.push_back(std::move(observed));
+    }
+    next_token += ask.actual;
+    ++rounds;
+    events.push_back(std::move(ask));
+    events.insert(events.end(), std::make_move_iterator(members.begin()),
+                  std::make_move_iterator(members.end()));
+    return true;
+  };
+
   for (;;) {
     if (!next_line(line)) {
       break;
     }
-    auto tokens = split_all(line);
+    const auto tokens = split_all(line);
     if (tokens.size() == 2 && tokens[0] == "end") {
       contents.finalized = true;
       contents.finish_reason = tokens[1];
       break;  // valid_bytes deliberately excludes the end marker
     }
-    std::uint64_t index = 0, requested = 0, actual = 0;
-    if (tokens.size() != 4 || tokens[0] != "round" ||
-        !parse_u64(tokens[1], index) || !parse_u64(tokens[2], requested) ||
-        !parse_u64(tokens[3], actual) || index != contents.rounds.size() ||
-        actual == 0 || actual > requested) {
+    if (!(h.async ? read_async_line(tokens) : read_sync_round(tokens))) {
       break;  // torn or foreign tail; the prefix so far stands
     }
-    JournalRound round;
-    round.requested = static_cast<std::size_t>(requested);
-    round.actual = static_cast<std::size_t>(actual);
-    bool complete = true;
-    for (std::uint64_t i = 0; i < actual; ++i) {
-      if (!next_line(line)) {
-        complete = false;
-        break;
-      }
-      // A round marker directly followed by an abandon marker is a
-      // cancelled round: no observations ever existed, and replay
-      // re-suggests then abandons it instead of re-evaluating.
-      if (i == 0 && line == "abandon") {
-        round.abandoned = true;
-        break;
-      }
-      tokens = split_all(line);
-      if (tokens.size() != 3 + h.num_params || tokens[0] != "obs") {
-        complete = false;
-        break;
-      }
-      Observation o;
-      try {
-        o.status = tabular::status_from_name(std::string(tokens[1]));
-      } catch (const Error&) {
-        complete = false;
-        break;
-      }
-      if (!parse_bits(tokens[2], o.y)) {
-        complete = false;
-        break;
-      }
-      // A successful observation never carries NaN (the writer reserves it
-      // for failed records), so NaN bits under an ok status are corruption.
-      // Infinities stay legal: extreme objective values round-trip exactly.
-      if (o.status == tabular::EvalStatus::kOk && std::isnan(o.y)) {
-        complete = false;
-        break;
-      }
-      std::vector<double> values(h.num_params, 0.0);
-      for (std::size_t p = 0; p < h.num_params; ++p) {
-        if (!parse_bits(tokens[3 + p], values[p])) {
-          complete = false;
-          break;
-        }
-      }
-      if (!complete) {
-        break;
-      }
-      o.config = space::Configuration(std::move(values));
-      round.observations.push_back(std::move(o));
-    }
-    if (!complete) {
-      break;  // incomplete round: dropped, will be re-evaluated on resume
-    }
-    contents.rounds.push_back(std::move(round));
     contents.valid_bytes = offset;
   }
   return contents;
@@ -520,88 +498,53 @@ JournalContents read_journal(const std::string& path) {
 
 // ---------------------------------------------------------------- replay
 
-std::vector<Observation> replay_journal(Tuner& tuner,
-                                        const space::ParameterSpace& space,
-                                        const JournalContents& contents) {
+ReplayResult replay_journal(Tuner& tuner, const space::ParameterSpace& space,
+                            const JournalContents& contents) {
   HPB_REQUIRE(contents.header.num_params == space.num_params(),
               "replay_journal: journal has " +
                   std::to_string(contents.header.num_params) +
                   " parameters but the space has " +
                   std::to_string(space.num_params()));
-  std::vector<Observation> replayed;
-  replayed.reserve(contents.num_observations());
-  for (std::size_t r = 0; r < contents.rounds.size(); ++r) {
-    const JournalRound& round = contents.rounds[r];
-    const std::vector<space::Configuration> batch =
-        tuner.suggest_batch(round.requested);
-    if (round.abandoned) {
-      // The round was cancelled whole before any observation: re-suggesting
-      // advanced the tuner (RNG, pending tracking) exactly as the original
-      // suggest did; abandoning each member restores the cancelled state.
-      HPB_REQUIRE(batch.size() == round.actual,
-                  "replay_journal: abandoned round " + std::to_string(r) +
-                      " diverged — tuner proposed " +
-                      std::to_string(batch.size()) +
-                      " configurations, journal recorded " +
-                      std::to_string(round.actual) +
-                      " (wrong method, seed, or dataset?)");
-      for (const space::Configuration& c : batch) {
-        tuner.abandon(c);
-      }
-      continue;
-    }
-    HPB_REQUIRE(batch.size() == round.observations.size(),
-                "replay_journal: round " + std::to_string(r) +
-                    " diverged — tuner proposed " +
-                    std::to_string(batch.size()) + " configurations, journal "
-                    "recorded " + std::to_string(round.observations.size()) +
-                    " (wrong method, seed, or dataset?)");
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      HPB_REQUIRE(
-          batch[i].values() == round.observations[i].config.values(),
-          "replay_journal: round " + std::to_string(r) + " observation " +
-              std::to_string(i) +
-              " diverged — the tuner did not re-propose the journaled "
-              "configuration (wrong method, seed, or dataset?)");
-    }
-    tuner.observe_batch(round.observations);
-    replayed.insert(replayed.end(), round.observations.begin(),
-                    round.observations.end());
-  }
-  return replayed;
-}
-
-AsyncReplayResult replay_journal_async(Tuner& tuner,
-                                       const space::ParameterSpace& space,
-                                       const JournalContents& contents) {
-  HPB_REQUIRE(contents.header.async,
-              "replay_journal_async: journal is not an async journal");
-  HPB_REQUIRE(contents.header.num_params == space.num_params(),
-              "replay_journal_async: journal has " +
-                  std::to_string(contents.header.num_params) +
-                  " parameters but the space has " +
-                  std::to_string(space.num_params()));
-  AsyncReplayResult result;
+  ReplayResult result;
+  result.observations.reserve(contents.count(JournalEvent::Kind::kObserve));
   // Ordered map: tokens are issued in increasing order, so iteration order
   // equals issue order — the resumed session re-exposes outstanding tokens
   // exactly as the original issued them.
   std::map<std::uint64_t, space::Configuration> outstanding;
+  // Observations reach the tuner in the groups the live session delivered:
+  // a whole sync round in one observe_batch, an async completion alone.
+  const bool whole_rounds = !contents.header.async;
+  std::size_t group_begin = 0;
+  const auto deliver = [&] {
+    const auto group =
+        std::span<const Observation>(result.observations).subspan(group_begin);
+    if (!group.empty()) {
+      tuner.observe_batch(group);
+    }
+    group_begin = result.observations.size();
+  };
   for (std::size_t e = 0; e < contents.events.size(); ++e) {
-    const AsyncEvent& event = contents.events[e];
+    const JournalEvent& event = contents.events[e];
+    if (event.kind != JournalEvent::Kind::kObserve) {
+      deliver();
+    }
     switch (event.kind) {
-      case AsyncEvent::Kind::kAsk: {
+      case JournalEvent::Kind::kAsk: {
+        // Re-suggesting advances the tuner (RNG, pending tracking) exactly
+        // as the original suggest did.
         const std::vector<space::Configuration> batch =
             tuner.suggest_batch(event.requested);
-        HPB_REQUIRE(batch.size() == event.configs.size(),
-                    "replay_journal_async: ask event " + std::to_string(e) +
+        HPB_REQUIRE(batch.size() == event.actual,
+                    "replay_journal: event " + std::to_string(e) +
                         " diverged — tuner proposed " +
                         std::to_string(batch.size()) +
                         " configurations, journal recorded " +
-                        std::to_string(event.configs.size()) +
+                        std::to_string(event.actual) +
                         " (wrong method, seed, or dataset?)");
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          HPB_REQUIRE(batch[i].values() == event.configs[i].values(),
-                      "replay_journal_async: ask event " + std::to_string(e) +
+          HPB_REQUIRE(event.configs.empty() ||
+                          batch[i].values() == event.configs[i].values(),
+                      "replay_journal: event " + std::to_string(e) +
                           " configuration " + std::to_string(i) +
                           " diverged — the tuner did not re-propose the "
                           "journaled configuration (wrong method, seed, or "
@@ -611,21 +554,17 @@ AsyncReplayResult replay_journal_async(Tuner& tuner,
         result.next_token = event.first_token + batch.size();
         break;
       }
-      case AsyncEvent::Kind::kObserve: {
+      case JournalEvent::Kind::kObserve:
         outstanding.erase(event.token);
-        if (event.observation.status == tabular::EvalStatus::kOk) {
-          tuner.observe(event.observation.config, event.observation.y);
-        } else {
-          tuner.observe_failure(event.observation.config,
-                                event.observation.status);
-        }
         result.observations.push_back(event.observation);
+        if (!whole_rounds) {
+          deliver();
+        }
         break;
-      }
-      case AsyncEvent::Kind::kCancel: {
+      case JournalEvent::Kind::kCancel: {
         const auto it = outstanding.find(event.token);
         HPB_REQUIRE(it != outstanding.end(),
-                    "replay_journal_async: cancel event " + std::to_string(e) +
+                    "replay_journal: cancel event " + std::to_string(e) +
                         " references an unknown token");
         tuner.abandon(it->second);
         outstanding.erase(it);
@@ -633,6 +572,7 @@ AsyncReplayResult replay_journal_async(Tuner& tuner,
       }
     }
   }
+  deliver();
   result.outstanding.assign(outstanding.begin(), outstanding.end());
   return result;
 }

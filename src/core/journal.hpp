@@ -14,27 +14,33 @@
 // continued run is therefore bitwise identical to an uninterrupted one.
 //
 // Format (line-oriented text; doubles as 16-hex-digit IEEE-754 bit
-// patterns so values round-trip exactly):
+// patterns so values round-trip exactly). The header fixes one of two body
+// dialects, which the writer emits and the reader parses:
 //
 //   hpbj v1
 //   meta <key> <value>            # session parameters, see JournalHeader
+//   ...body...
+//   end <reason>                  # present only when the session completed
+//
+// Sync dialect (the default) — one block per round:
+//
 //   round <index> <requested> <actual>
 //   obs <status> <y-bits> <v0-bits> <v1-bits> ...
 //   ...                           # exactly <actual> obs lines per round
-//   end <reason>                  # present only when the session completed
 //
 // The round marker is written after suggest_batch (so <actual> is known)
 // and before evaluation; its records follow once the round is evaluated. A
-// round with fewer than <actual> records is incomplete and is dropped on
-// resume — its evaluations are re-run, which is safe because the tuner
-// state that produced them is reconstructed exactly. A round marker may
-// instead be followed by a single `abandon` line: the round was cancelled
-// whole (client died mid-round), replay re-suggests it and abandons every
-// member, and the session keeps going instead of wedging.
+// round marker may instead be followed by a single `abandon` line: the
+// round was cancelled whole (client died mid-round), replay re-suggests it
+// and abandons every member, and the session keeps going instead of
+// wedging. Commit rule: a round commits whole. A marker followed by fewer
+// than <actual> records is incomplete — it adds nothing to the read events
+// or to the durable prefix, and its evaluations are re-run on resume,
+// which is safe because the tuner state that produced them is
+// reconstructed exactly.
 //
-// Asynchronous sessions (`meta mode async` in the header) journal a
-// different, event-oriented body — one self-contained fsync'd line per
-// verb, in verb order:
+// Async dialect (`meta mode async` in the header) — one self-contained
+// line per verb, in verb order:
 //
 //   ask <requested> <first_token> <actual> <cfg-bits ...>
 //   aobs <token> <status> <y-bits>
@@ -43,11 +49,16 @@
 // `ask` lines carry the suggested configurations (actual * num_params
 // 16-hex-digit values, configuration-major) and assign the consecutive
 // tokens first_token .. first_token+actual-1; `aobs`/`acancel` resolve one
-// token in completion order. The ask line is durable *before* its tokens
-// are returned to any client, so a replayed journal's outstanding-token set
-// always covers every token a client could have seen; completions arrive in
-// any order and replay re-applies them in the exact journaled order, which
-// is what makes an async resume bitwise-deterministic.
+// token in completion order. Commit rule: every valid line commits on its
+// own; only the final line can tear. The ask line is durable *before* its
+// tokens are returned to any client, so a replayed journal's
+// outstanding-token set always covers every token a client could have
+// seen; completions arrive in any order and replay re-applies them in the
+// exact journaled order, which is what makes an async resume
+// bitwise-deterministic.
+//
+// Both dialects read into one event model (JournalEvent: ask / observe /
+// cancel) and replay through one function.
 #pragma once
 
 #include <cstdint>
@@ -89,56 +100,45 @@ struct JournalHeader {
   bool async = false;
 };
 
-/// One engine round as journaled: the batch size the engine requested and
-/// the observations (in suggestion order) the tuner's batch produced.
-struct JournalRound {
-  std::size_t requested = 0;
-  /// Batch size the tuner actually returned (== observations.size() for
-  /// observed rounds; abandoned rounds have no observations).
-  std::size_t actual = 0;
-  /// The round was cancelled whole (journaled `abandon` marker): replay
-  /// re-suggests it to advance the tuner deterministically, then abandons
-  /// every member instead of observing.
-  bool abandoned = false;
-  std::vector<Observation> observations;
-};
-
-/// One journaled verb of an asynchronous session, in journal (= verb)
-/// order.
-struct AsyncEvent {
+/// One journaled verb, in journal order. Both dialects read into this one
+/// model: a sync `round` marker and its `obs` lines become an ask followed
+/// by one observe per member (tokens numbered from 1 in issue order, as the
+/// session numbers them), an `abandon` line becomes a cancel of every token
+/// of its round, and the async `ask`/`aobs`/`acancel` lines map one to one.
+struct JournalEvent {
   enum class Kind { kAsk, kObserve, kCancel };
   Kind kind = Kind::kAsk;
-  /// kAsk: the requested batch size and the tokens/configurations issued.
+  /// kAsk: the requested batch size and the `actual` consecutive tokens
+  /// issued from `first_token`. `configs` holds the issued configurations
+  /// when the journal names them (async asks, observed sync rounds); it is
+  /// empty for an abandoned sync round, whose members were never written.
   std::size_t requested = 0;
   std::uint64_t first_token = 0;
+  std::size_t actual = 0;
   std::vector<space::Configuration> configs;
   /// kObserve / kCancel: the token resolved by this event. For kObserve,
-  /// `observation` carries the token's configuration (resolved by the
-  /// reader from the issuing ask) and the journaled value/status.
+  /// `observation` carries the token's configuration and the journaled
+  /// value/status.
   std::uint64_t token = 0;
   Observation observation;
 };
 
-/// A validated journal: header, every complete round, and whether the
+/// A validated journal: header, every committed event, and whether the
 /// session finished. `valid_bytes` is the length of the durable prefix
 /// (excluding any torn tail and the end marker); appending resumes there.
 struct JournalContents {
   JournalHeader header;
-  std::vector<JournalRound> rounds;
-  /// Asynchronous journals only: the validated verb sequence. Sync
-  /// journals leave this empty (and vice versa).
-  std::vector<AsyncEvent> events;
+  std::vector<JournalEvent> events;
   bool finalized = false;
   std::string finish_reason;
   std::uint64_t valid_bytes = 0;
 
-  [[nodiscard]] std::size_t num_observations() const noexcept {
+  /// Events of one kind: kAsk counts sync rounds (or async asks), kObserve
+  /// the journaled observations.
+  [[nodiscard]] std::size_t count(JournalEvent::Kind kind) const noexcept {
     std::size_t n = 0;
-    for (const JournalRound& r : rounds) {
-      n += r.observations.size();
-    }
-    for (const AsyncEvent& e : events) {
-      n += e.kind == AsyncEvent::Kind::kObserve ? 1 : 0;
+    for (const JournalEvent& e : events) {
+      n += e.kind == kind ? 1 : 0;
     }
     return n;
   }
@@ -167,30 +167,26 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
 
-  /// Open a round: the engine requested `requested` configurations and the
-  /// tuner returned `actual`. Written before evaluation starts.
-  void begin_round(std::size_t requested, std::size_t actual);
+  /// Durably record a suggest *before* its results can exist: the tuner
+  /// returned `batch` for `requested` and the session issued the tokens
+  /// first_token .. first_token+batch.size()-1. Sync dialect: the round
+  /// marker (members follow as obs lines once observed). Async dialect: the
+  /// ask line with the configurations inline, written before any token is
+  /// returned to a client (replay verifies the re-suggested batch against
+  /// them bitwise).
+  void begin(std::size_t requested, std::uint64_t first_token,
+             std::span<const space::Configuration> batch);
 
-  /// Append one evaluated observation of the current round.
-  void append_observation(const Observation& o);
+  /// Durably record one evaluated observation of token `token`. Sync
+  /// dialect: an obs line (members of a round in suggestion order); async
+  /// dialect: an aobs line (any order).
+  void record(std::uint64_t token, const Observation& o);
 
-  /// Abandon the round opened by the last begin_round before any of its
-  /// observations were appended: the client evaluating it died or cancelled.
-  /// Replay re-suggests the round and abandons every member.
-  void abandon_round();
-
-  /// Async sessions: durably record a suggest batch *before* its tokens are
-  /// returned to the client — `batch.size()` consecutive tokens starting at
-  /// `first_token`, with the configurations inline (replay verifies the
-  /// re-suggested batch against them bitwise).
-  void begin_ask(std::size_t requested, std::uint64_t first_token,
-                 std::span<const space::Configuration> batch);
-
-  /// Async sessions: durably record one completed evaluation (any order).
-  void append_async_observation(std::uint64_t token, const Observation& o);
-
-  /// Async sessions: durably record the cancellation of one token.
-  void append_cancel(std::uint64_t token);
+  /// Durably record the release of `tokens` without observing them. Sync
+  /// dialect: one `abandon` line for the whole open round, before any of
+  /// its members was recorded — replay re-suggests the round and abandons
+  /// every member. Async dialect: one acancel line per token.
+  void cancel(std::span<const std::uint64_t> tokens);
 
   /// Durably mark the session complete (e.g. "budget_exhausted"). Not
   /// called on interruption — an unfinalized journal is what resume
@@ -200,12 +196,15 @@ class JournalWriter {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  JournalWriter(std::string path, int fd, std::size_t next_round);
+  JournalWriter(std::string path, int fd, bool async, std::size_t next_round);
 
   void write_line(std::string_view line);
 
   std::string path_;
   int fd_ = -1;
+  /// Dialect fixed by the header: ask/aobs/acancel lines instead of
+  /// round/obs/abandon.
+  bool async_ = false;
   std::size_t next_round_ = 0;
 };
 
@@ -215,35 +214,28 @@ class JournalWriter {
 /// unreadable or the header itself is invalid.
 [[nodiscard]] JournalContents read_journal(const std::string& path);
 
-/// Deterministic resume: drive a fresh tuner through the journal's rounds
-/// — suggest_batch(requested), observations answered from the journal —
-/// without touching the objective. Throws if the tuner's suggestions
-/// diverge from the journaled configurations (wrong method, seed, or
-/// dataset). Returns all replayed observations in engine order, ready to
-/// hand to TuningEngine::run/run_until as the replayed prefix.
-[[nodiscard]] std::vector<Observation> replay_journal(
-    Tuner& tuner, const space::ParameterSpace& space,
-    const JournalContents& contents);
-
-/// What an asynchronous replay reconstructs: the journaled observations in
-/// completion order (for the session's best-so-far / stopping bookkeeping)
-/// plus the still-outstanding tokens — asks whose completion or
-/// cancellation never hit the journal. A resumed session re-exposes those
-/// tokens, so a client (or an operator issuing `cancel`) can always resolve
-/// them; a torn round never wedges the session.
-struct AsyncReplayResult {
+/// What a replay reconstructs: the journaled observations in journal order
+/// (for the session's best-so-far / stopping bookkeeping), the tokens still
+/// outstanding in issue order — async asks whose completion or
+/// cancellation never hit the journal; always empty for a sync journal,
+/// whose torn round the reader drops — and the next unissued token. A
+/// resumed session re-exposes the outstanding tokens, so a client (or an
+/// operator issuing `cancel`) can always resolve them.
+struct ReplayResult {
   std::vector<Observation> observations;
   std::vector<std::pair<std::uint64_t, space::Configuration>> outstanding;
-  /// The next unissued token (one past the largest journaled token).
   std::uint64_t next_token = 1;
 };
 
-/// Deterministic async resume: drive a fresh tuner through the journal's
-/// event sequence — suggest_batch per ask (verified bitwise against the
-/// journaled configurations), observe/observe_failure per aobs, abandon per
-/// acancel — in the exact journaled order.
-[[nodiscard]] AsyncReplayResult replay_journal_async(
-    Tuner& tuner, const space::ParameterSpace& space,
-    const JournalContents& contents);
+/// Deterministic resume: drive a fresh tuner through the journal's events
+/// in journal order without touching the objective — suggest_batch per ask
+/// (verified against the journaled configurations), observe_batch per
+/// observed group, abandon per cancel. A group is a whole sync round (one
+/// observe_batch, exactly as the live session delivered it) or a single
+/// async completion. Throws if the tuner's suggestions diverge from the
+/// journal (wrong method, seed, or dataset).
+[[nodiscard]] ReplayResult replay_journal(Tuner& tuner,
+                                          const space::ParameterSpace& space,
+                                          const JournalContents& contents);
 
 }  // namespace hpb::core

@@ -69,110 +69,247 @@ void Session::journal_op(const char* what, F&& op) {
   }
 }
 
-void Session::require_mode(SessionMode mode, const char* verb) const {
-  HPB_REQUIRE(config_.mode == mode,
-              std::string("Session::") + verb +
-                  (mode == SessionMode::kAsync
-                       ? ": this is a synchronous session (use the round "
-                         "verbs suggest/observe)"
-                       : ": this is an asynchronous session (use the token "
-                         "verbs suggest_async/observe_async/cancel_async)"));
-}
-
 void Session::reserve(std::size_t n) {
   result_.history.reserve(n);
   result_.best_so_far.reserve(n);
 }
 
-std::vector<space::Configuration> Session::suggest(std::size_t k) {
+std::vector<Suggestion> Session::suggest(std::size_t k) {
   require_open("suggest");
-  require_mode(SessionMode::kSync, "suggest");
   HPB_REQUIRE(k > 0, "Session::suggest: k must be positive");
-  HPB_REQUIRE(!round_in_flight_,
+  const bool sync = config_.mode == SessionMode::kSync;
+  HPB_REQUIRE(!sync || outstanding_.empty(),
               "Session::suggest: a round of " +
-                  std::to_string(pending_.size()) +
+                  std::to_string(outstanding_.size()) +
                   " suggestions is already in flight; observe it first");
+  // Shed before any state changes: an unbounded outstanding set is how a
+  // confused client (suggest in a loop, observe never) runs the daemon
+  // out of memory and the TPE fit out of usefulness. Sync rounds are
+  // naturally bounded by one batch.
+  if (!sync && config_.max_pending > 0 &&
+      outstanding_.size() + k > config_.max_pending) {
+    throw OverloadError(
+        "Session::suggest: " + std::to_string(outstanding_.size()) +
+        " tokens are already outstanding and " + std::to_string(k) +
+        " more would exceed the per-session pending cap of " +
+        std::to_string(config_.max_pending) +
+        "; observe or cancel outstanding tokens first");
+  }
   const obs::Recorder& rec = config_.recorder;
   const bool tracing = rec.tracing();
   // The round span id is allocated before any child span so children can
   // point at it; the span record itself is emitted from observe(), when
   // its duration is known.
-  round_id_ = 0;
-  round_start_ = 0;
-  if (tracing) {
-    round_id_ = rec.trace->next_id();
-    round_start_ = rec.now_ns();
+  if (sync) {
+    round_id_ = tracing ? rec.trace->next_id() : 0;
+    round_start_ = tracing ? rec.now_ns() : 0;
+    round_requested_ = k;
   }
-  const std::uint64_t suggest_start = tracing ? rec.now_ns() : 0;
+  const std::uint64_t start = tracing ? rec.now_ns() : 0;
   std::vector<space::Configuration> batch = tuner_->suggest_batch(k);
   HPB_REQUIRE(!batch.empty(), "Session: tuner returned an empty batch");
   HPB_REQUIRE(batch.size() <= k,
               "Session: tuner returned more configurations than asked");
-  if (tracing) {
+  if (sync && tracing) {
     const obs::TraceAttr attrs[] = {
         obs::TraceAttr::uint("requested", k),
         obs::TraceAttr::uint("actual", batch.size())};
     rec.trace->emit({.name = "suggest",
                      .id = rec.trace->next_id(),
                      .parent = round_id_,
-                     .start_ns = suggest_start,
+                     .start_ns = start,
                      .end_ns = rec.now_ns(),
                      .attrs = attrs});
   }
-  // The round marker goes out before evaluation starts: a crash mid-round
-  // leaves an incomplete round the reader drops and re-evaluates.
+  // Write-ahead: the round marker / ask line is durable before any result
+  // can exist (a crash mid-round leaves an incomplete round the reader
+  // drops and re-evaluates) and before any token escapes to a client (the
+  // journal's outstanding set covers every token a client could hold).
   if (journal_ != nullptr) {
-    journal_op("begin_round",
-               [&] { journal_->begin_round(k, batch.size()); });
+    journal_op("begin", [&] { journal_->begin(k, next_token_, batch); });
   }
-  pending_ = batch;
-  round_requested_ = k;
-  round_in_flight_ = true;
-  return batch;
+  std::vector<Suggestion> suggestions;
+  suggestions.reserve(batch.size());
+  for (space::Configuration& c : batch) {
+    outstanding_.emplace(next_token_, c);
+    suggestions.push_back({next_token_, std::move(c)});
+    ++next_token_;
+  }
+  if (sync) {
+    return suggestions;
+  }
+  if (tracing) {
+    const obs::TraceAttr attrs[] = {
+        obs::TraceAttr::uint("requested", k),
+        obs::TraceAttr::uint("actual", suggestions.size()),
+        obs::TraceAttr::uint("first_token", suggestions.front().token),
+        obs::TraceAttr::uint("outstanding", outstanding_.size())};
+    rec.trace->emit({.name = "ask",
+                     .id = rec.trace->next_id(),
+                     .parent = 0,
+                     .start_ns = start,
+                     .end_ns = rec.now_ns(),
+                     .attrs = attrs});
+  }
+  if (rec.metrics != nullptr) {
+    rec.metrics->counter("engine.asks").add(1);
+    rec.metrics->gauge("engine.outstanding")
+        .set(static_cast<double>(outstanding_.size()));
+  }
+  ++round_index_;
+  return suggestions;
 }
 
-void Session::observe(std::vector<Observation> observations,
-                      std::span<const EvalMeter> meters) {
-  require_open("observe");
-  require_mode(SessionMode::kSync, "observe");
-  HPB_REQUIRE(round_in_flight_,
+std::vector<TokenResult> Session::round_results(
+    std::span<const Observation> observations) const {
+  HPB_REQUIRE(!outstanding_.empty(),
               "Session::observe: no round is in flight; call suggest first");
-  HPB_REQUIRE(observations.size() == pending_.size(),
+  HPB_REQUIRE(observations.size() == outstanding_.size(),
               "Session::observe: the in-flight round has " +
-                  std::to_string(pending_.size()) + " suggestions but " +
+                  std::to_string(outstanding_.size()) + " suggestions but " +
                   std::to_string(observations.size()) +
                   " results were delivered");
-  HPB_REQUIRE(meters.empty() || meters.size() == observations.size(),
-              "Session::observe: meters must be absent or one per result");
-  for (std::size_t i = 0; i < observations.size(); ++i) {
+  std::vector<TokenResult> results;
+  results.reserve(observations.size());
+  auto it = outstanding_.begin();
+  for (std::size_t i = 0; i < observations.size(); ++i, ++it) {
     HPB_REQUIRE(
-        observations[i].config.values() == pending_[i].values(),
+        observations[i].config.values() == it->second.values(),
         "Session::observe: result " + std::to_string(i) +
             " does not match the suggested configuration (results must be "
             "delivered in suggestion order; was this configuration ever "
             "suggested?)");
-    HPB_REQUIRE(!observations[i].ok() || std::isfinite(observations[i].y),
-                "Session::observe: a successful observation must carry a "
-                "finite value");
+    results.push_back({it->first, observations[i].status, observations[i].y});
   }
+  return results;
+}
 
+void Session::observe(const std::vector<Observation>& observations,
+                      std::span<const EvalMeter> meters) {
+  require_open("observe");
+  HPB_REQUIRE(config_.mode == SessionMode::kSync,
+              "Session::observe: this is an asynchronous session; deliver "
+              "results by token");
+  commit(round_results(observations), meters);
+}
+
+void Session::observe(std::span<const TokenResult> results) {
+  require_open("observe");
+  HPB_REQUIRE(config_.mode == SessionMode::kAsync,
+              "Session::observe: this is a synchronous session; deliver the "
+              "round by configuration");
+  commit(results, {});
+}
+
+void Session::commit(std::span<const TokenResult> results,
+                     std::span<const EvalMeter> meters) {
+  HPB_REQUIRE(!results.empty(), "Session::observe: no results delivered");
+  HPB_REQUIRE(meters.empty() || meters.size() == results.size(),
+              "Session::observe: meters must be absent or one per result");
+  // Validate everything before touching any state: a bad call (foreign or
+  // duplicate token, a value that disagrees with its status) leaves the
+  // session unchanged.
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const TokenResult& r = results[i];
+    HPB_REQUIRE(outstanding_.contains(r.token),
+                "Session::observe: token " + std::to_string(r.token) +
+                    " is not outstanding (already resolved, cancelled, or "
+                    "never issued)");
+    for (std::size_t j = 0; j < i; ++j) {
+      HPB_REQUIRE(results[j].token != r.token,
+                  "Session::observe: token " + std::to_string(r.token) +
+                      " appears twice in one delivery");
+    }
+    HPB_REQUIRE(r.ok() == std::isfinite(r.y),
+                r.ok() ? "Session::observe: a successful observation must "
+                         "carry a finite value"
+                       : "Session::observe: a failed observation must carry "
+                         "no value");
+  }
+  const bool sync = config_.mode == SessionMode::kSync;
   const obs::Recorder& rec = config_.recorder;
   const bool tracing = rec.tracing();
+  std::vector<Observation> observations;
+  observations.reserve(results.size());
+  std::size_t failed = 0;
+  for (const TokenResult& r : results) {
+    observations.push_back({outstanding_.at(r.token), r.y, r.status});
+    failed += r.ok() ? 0 : 1;
+  }
+  if (sync) {
+    meter_round(observations, meters, failed);
+  }
+  // A group is what the tuner sees in one observe_batch: the whole sync
+  // round, or one async token in completion order. Records hit the disk
+  // before the tuner sees them: on-disk state always leads in-memory
+  // state, so replay can reconstruct the tuner exactly.
+  const std::size_t group = sync ? observations.size() : 1;
+  for (std::size_t begin = 0; begin < observations.size(); begin += group) {
+    for (std::size_t i = begin; journal_ != nullptr && i < begin + group;
+         ++i) {
+      journal_op("record",
+                 [&] { journal_->record(results[i].token, observations[i]); });
+      if (sync && tracing) {
+        const std::uint64_t ts = rec.now_ns();
+        const obs::TraceAttr attrs[] = {obs::TraceAttr::uint("index", i)};
+        rec.trace->emit({.name = "journal.append",
+                         .id = rec.trace->next_id(),
+                         .parent = round_id_,
+                         .start_ns = ts,
+                         .end_ns = ts,
+                         .attrs = attrs});
+      }
+    }
+    const std::uint64_t start = tracing ? rec.now_ns() : 0;
+    tuner_->observe_batch(
+        std::span<const Observation>(observations).subspan(begin, group));
+    if (tracing && sync) {
+      rec.trace->emit({.name = "observe",
+                       .id = rec.trace->next_id(),
+                       .parent = round_id_,
+                       .start_ns = start,
+                       .end_ns = rec.now_ns(),
+                       .attrs = {}});
+    } else if (tracing) {
+      const obs::TraceAttr attrs[] = {
+          obs::TraceAttr::uint("token", results[begin].token),
+          obs::TraceAttr::str("status",
+                              tabular::status_name(results[begin].status))};
+      rec.trace->emit({.name = "observe_async",
+                       .id = rec.trace->next_id(),
+                       .parent = 0,
+                       .start_ns = start,
+                       .end_ns = rec.now_ns(),
+                       .attrs = attrs});
+    }
+    for (std::size_t i = begin; i < begin + group; ++i) {
+      outstanding_.erase(results[i].token);
+      apply(std::move(observations[i]));
+    }
+  }
+  if (sync) {
+    close_round(observations.size(), failed, meters);
+  } else if (rec.metrics != nullptr) {
+    rec.metrics->counter("engine.evaluations").add(results.size());
+    rec.metrics->counter("engine.failures").add(failed);
+    rec.metrics->gauge("engine.outstanding")
+        .set(static_cast<double>(outstanding_.size()));
+  }
+}
+
+void Session::meter_round(std::span<const Observation> observations,
+                          std::span<const EvalMeter> meters,
+                          std::size_t failed) {
+  const obs::Recorder& rec = config_.recorder;
   // Evaluation spans and meters are reduced in suggestion order on the
   // caller's thread: trace files stay deterministic under a fake clock
   // even though the evaluations themselves may have run on pool workers.
-  std::size_t failed = 0;
   std::uint64_t retries = 0;
-  for (std::size_t i = 0; i < observations.size(); ++i) {
-    if (!observations[i].ok()) {
-      ++failed;
-    }
-    if (!meters.empty()) {
-      retries += meters[i].attempts - 1;
-    }
+  for (std::size_t i = 0; i < meters.size(); ++i) {
+    retries += meters[i].attempts - 1;
     // Evaluate spans describe *local* evaluations; a remote client that
     // evaluated elsewhere delivers no meters and gets no evaluate spans.
-    if (tracing && !meters.empty()) {
+    if (rec.tracing()) {
       std::vector<obs::TraceAttr> attrs;
       attrs.reserve(4);
       attrs.push_back(obs::TraceAttr::uint("index", i));
@@ -201,38 +338,18 @@ void Session::observe(std::vector<Observation> observations,
       eval_ms.record(static_cast<double>(m.end_ns - m.start_ns) * 1e-6);
     }
   }
-  // Records hit the disk before the tuner sees them: on-disk state always
-  // leads in-memory state, so replay can reconstruct the tuner exactly.
-  if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < observations.size(); ++i) {
-      journal_op("append_observation",
-                 [&] { journal_->append_observation(observations[i]); });
-      if (tracing) {
-        const std::uint64_t ts = rec.now_ns();
-        const obs::TraceAttr attrs[] = {obs::TraceAttr::uint("index", i)};
-        rec.trace->emit({.name = "journal.append",
-                         .id = rec.trace->next_id(),
-                         .parent = round_id_,
-                         .start_ns = ts,
-                         .end_ns = ts,
-                         .attrs = attrs});
-      }
-    }
-  }
-  const std::uint64_t observe_start = tracing ? rec.now_ns() : 0;
-  tuner_->observe_batch(observations);
+}
+
+void Session::close_round(std::size_t actual, std::size_t failed,
+                          std::span<const EvalMeter> meters) {
+  const obs::Recorder& rec = config_.recorder;
+  const bool tracing = rec.tracing();
   if (tracing) {
-    rec.trace->emit({.name = "observe",
-                     .id = rec.trace->next_id(),
-                     .parent = round_id_,
-                     .start_ns = observe_start,
-                     .end_ns = rec.now_ns(),
-                     .attrs = {}});
     const std::uint64_t round_end = rec.now_ns();
     const obs::TraceAttr attrs[] = {
         obs::TraceAttr::uint("round", round_index_),
         obs::TraceAttr::uint("requested", round_requested_),
-        obs::TraceAttr::uint("actual", observations.size()),
+        obs::TraceAttr::uint("actual", actual),
         obs::TraceAttr::uint("failed", failed)};
     rec.trace->emit({.name = "round",
                      .id = round_id_,
@@ -259,212 +376,73 @@ void Session::observe(std::vector<Observation> observations,
         ->histogram("engine.round_ms", obs::default_latency_buckets_ms())
         .record(static_cast<double>(end - start) * 1e-6);
   }
-  for (Observation& o : observations) {
-    apply(std::move(o));
-  }
-  round_in_flight_ = false;
-  pending_.clear();
   ++round_index_;
 }
 
-std::size_t Session::cancel_round() {
+std::size_t Session::cancel(std::span<const std::uint64_t> tokens) {
   require_open("cancel");
-  require_mode(SessionMode::kSync, "cancel");
-  HPB_REQUIRE(round_in_flight_,
-              "Session::cancel: no round is in flight; nothing to cancel");
-  // Marker first: once the abandon line is durable, a crash between here
-  // and the tuner updates replays to the same released state.
-  if (journal_ != nullptr) {
-    journal_op("abandon_round", [&] { journal_->abandon_round(); });
+  const bool sync = config_.mode == SessionMode::kSync;
+  std::vector<std::uint64_t> to_cancel(tokens.begin(), tokens.end());
+  if (sync) {
+    HPB_REQUIRE(tokens.empty(),
+                "Session::cancel: synchronous sessions have no tokens; "
+                "cancel releases the whole in-flight round");
+    HPB_REQUIRE(!outstanding_.empty(),
+                "Session::cancel: no round is in flight; nothing to cancel");
   }
-  const std::size_t released = pending_.size();
-  for (const space::Configuration& c : pending_) {
-    tuner_->abandon(c);
-  }
-  const obs::Recorder& rec = config_.recorder;
-  if (rec.tracing()) {
-    const obs::TraceAttr attrs[] = {
-        obs::TraceAttr::uint("round", round_index_),
-        obs::TraceAttr::uint("released", released)};
-    rec.trace->emit({.name = "cancel_round",
-                     .id = rec.trace->next_id(),
-                     .parent = round_id_,
-                     .start_ns = round_start_,
-                     .end_ns = rec.now_ns(),
-                     .attrs = attrs});
-  }
-  if (rec.metrics != nullptr) {
-    rec.metrics->counter("engine.cancelled_rounds").add(1);
-  }
-  round_in_flight_ = false;
-  pending_.clear();
-  ++round_index_;
-  return released;
-}
-
-std::vector<AsyncSuggestion> Session::suggest_async(std::size_t k) {
-  require_open("suggest");
-  require_mode(SessionMode::kAsync, "suggest_async");
-  HPB_REQUIRE(k > 0, "Session::suggest_async: k must be positive");
-  // Shed before any state changes: an unbounded outstanding set is how a
-  // confused client (suggest in a loop, observe never) runs the daemon
-  // out of memory and the TPE fit out of usefulness.
-  if (config_.max_pending > 0 &&
-      outstanding_.size() + k > config_.max_pending) {
-    throw OverloadError(
-        "Session::suggest_async: " + std::to_string(outstanding_.size()) +
-        " tokens are already outstanding and " + std::to_string(k) +
-        " more would exceed the per-session pending cap of " +
-        std::to_string(config_.max_pending) +
-        "; observe or cancel outstanding tokens first");
-  }
-  const obs::Recorder& rec = config_.recorder;
-  const bool tracing = rec.tracing();
-  const std::uint64_t start = tracing ? rec.now_ns() : 0;
-  std::vector<space::Configuration> batch = tuner_->suggest_batch(k);
-  HPB_REQUIRE(!batch.empty(), "Session: tuner returned an empty batch");
-  HPB_REQUIRE(batch.size() <= k,
-              "Session: tuner returned more configurations than asked");
-  // Write-ahead: the ask line (tokens + configurations) is durable before
-  // any token escapes to a client, so the journal's outstanding set always
-  // covers every token a client could hold.
-  if (journal_ != nullptr) {
-    journal_op("begin_ask",
-               [&] { journal_->begin_ask(k, next_token_, batch); });
-  }
-  std::vector<AsyncSuggestion> suggestions;
-  suggestions.reserve(batch.size());
-  for (space::Configuration& c : batch) {
-    outstanding_.emplace(next_token_, c);
-    suggestions.push_back({next_token_, std::move(c)});
-    ++next_token_;
-  }
-  if (tracing) {
-    const obs::TraceAttr attrs[] = {
-        obs::TraceAttr::uint("requested", k),
-        obs::TraceAttr::uint("actual", suggestions.size()),
-        obs::TraceAttr::uint("first_token", suggestions.front().token),
-        obs::TraceAttr::uint("outstanding", outstanding_.size())};
-    rec.trace->emit({.name = "ask",
-                     .id = rec.trace->next_id(),
-                     .parent = 0,
-                     .start_ns = start,
-                     .end_ns = rec.now_ns(),
-                     .attrs = attrs});
-  }
-  if (rec.metrics != nullptr) {
-    rec.metrics->counter("engine.asks").add(1);
-    rec.metrics->gauge("engine.outstanding")
-        .set(static_cast<double>(outstanding_.size()));
-  }
-  ++round_index_;
-  return suggestions;
-}
-
-void Session::observe_async(std::span<const AsyncResult> results) {
-  require_open("observe");
-  require_mode(SessionMode::kAsync, "observe_async");
-  HPB_REQUIRE(!results.empty(),
-              "Session::observe_async: no results delivered");
-  // Validate everything before touching any state: a bad call (foreign or
-  // duplicate token, non-finite value) leaves the session unchanged.
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const AsyncResult& r = results[i];
-    HPB_REQUIRE(outstanding_.contains(r.token),
-                "Session::observe_async: token " + std::to_string(r.token) +
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    HPB_REQUIRE(outstanding_.contains(tokens[i]),
+                "Session::cancel: token " + std::to_string(tokens[i]) +
                     " is not outstanding (already resolved, cancelled, or "
                     "never issued)");
     for (std::size_t j = 0; j < i; ++j) {
-      HPB_REQUIRE(results[j].token != r.token,
-                  "Session::observe_async: token " +
-                      std::to_string(r.token) +
-                      " appears twice in one delivery");
+      HPB_REQUIRE(tokens[j] != tokens[i],
+                  "Session::cancel: token " + std::to_string(tokens[i]) +
+                      " appears twice in one cancellation");
     }
-    HPB_REQUIRE(r.status != tabular::EvalStatus::kOk || std::isfinite(r.y),
-                "Session::observe_async: a successful observation must "
-                "carry a finite value");
   }
-  const obs::Recorder& rec = config_.recorder;
-  const bool tracing = rec.tracing();
-  std::size_t failed = 0;
-  for (const AsyncResult& r : results) {
-    const auto it = outstanding_.find(r.token);
-    Observation o;
-    o.config = it->second;
-    o.status = r.status;
-    o.y = r.ok() ? r.y : std::numeric_limits<double>::quiet_NaN();
-    // Disk before tuner, per token: replay re-applies completions in the
-    // exact journaled order.
-    if (journal_ != nullptr) {
-      journal_op("append_async_observation",
-                 [&] { journal_->append_async_observation(r.token, o); });
-    }
-    const std::uint64_t start = tracing ? rec.now_ns() : 0;
-    if (o.ok()) {
-      tuner_->observe(o.config, o.y);
-    } else {
-      ++failed;
-      tuner_->observe_failure(o.config, o.status);
-    }
-    if (tracing) {
-      const obs::TraceAttr attrs[] = {
-          obs::TraceAttr::uint("token", r.token),
-          obs::TraceAttr::str("status", tabular::status_name(o.status))};
-      rec.trace->emit({.name = "observe_async",
-                       .id = rec.trace->next_id(),
-                       .parent = 0,
-                       .start_ns = start,
-                       .end_ns = rec.now_ns(),
-                       .attrs = attrs});
-    }
-    outstanding_.erase(it);
-    apply(std::move(o));
-  }
-  if (rec.metrics != nullptr) {
-    rec.metrics->counter("engine.evaluations").add(results.size());
-    rec.metrics->counter("engine.failures").add(failed);
-    rec.metrics->gauge("engine.outstanding")
-        .set(static_cast<double>(outstanding_.size()));
-  }
-}
-
-std::size_t Session::cancel_async(std::span<const std::uint64_t> tokens) {
-  require_open("cancel");
-  require_mode(SessionMode::kAsync, "cancel_async");
-  std::vector<std::uint64_t> to_cancel;
   if (tokens.empty()) {
-    // Cancel-all: the un-wedge verb for a client that lost track of its
-    // tokens (or an operator releasing a dead client's work).
-    to_cancel.reserve(outstanding_.size());
+    // Cancel-all: the whole sync round, or every async token (the un-wedge
+    // verb for a client that lost track, or an operator releasing a dead
+    // client's work).
     for (const auto& [token, config] : outstanding_) {
       to_cancel.push_back(token);
     }
-  } else {
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      HPB_REQUIRE(outstanding_.contains(tokens[i]),
-                  "Session::cancel_async: token " +
-                      std::to_string(tokens[i]) +
-                      " is not outstanding (already resolved, cancelled, or "
-                      "never issued)");
-      for (std::size_t j = 0; j < i; ++j) {
-        HPB_REQUIRE(tokens[j] != tokens[i],
-                    "Session::cancel_async: token " +
-                        std::to_string(tokens[i]) +
-                        " appears twice in one cancellation");
-      }
-    }
-    to_cancel.assign(tokens.begin(), tokens.end());
   }
-  for (const std::uint64_t token : to_cancel) {
-    const auto it = outstanding_.find(token);
+  // The journal line goes first: once it is durable, a crash between here
+  // and the tuner updates replays to the same released state. A group is
+  // one journal line: the whole sync round (`abandon`), or one async token.
+  const std::size_t group = sync ? to_cancel.size() : 1;
+  for (std::size_t begin = 0; begin < to_cancel.size(); begin += group) {
+    const std::span<const std::uint64_t> released =
+        std::span<const std::uint64_t>(to_cancel).subspan(begin, group);
     if (journal_ != nullptr) {
-      journal_op("append_cancel", [&] { journal_->append_cancel(token); });
+      journal_op("cancel", [&] { journal_->cancel(released); });
     }
-    tuner_->abandon(it->second);
-    outstanding_.erase(it);
+    for (const std::uint64_t token : released) {
+      const auto it = outstanding_.find(token);
+      tuner_->abandon(it->second);
+      outstanding_.erase(it);
+    }
   }
   const obs::Recorder& rec = config_.recorder;
-  if (rec.metrics != nullptr && !to_cancel.empty()) {
+  if (sync) {
+    if (rec.tracing()) {
+      const obs::TraceAttr attrs[] = {
+          obs::TraceAttr::uint("round", round_index_),
+          obs::TraceAttr::uint("released", to_cancel.size())};
+      rec.trace->emit({.name = "cancel_round",
+                       .id = rec.trace->next_id(),
+                       .parent = round_id_,
+                       .start_ns = round_start_,
+                       .end_ns = rec.now_ns(),
+                       .attrs = attrs});
+    }
+    if (rec.metrics != nullptr) {
+      rec.metrics->counter("engine.cancelled_rounds").add(1);
+    }
+    ++round_index_;
+  } else if (rec.metrics != nullptr && !to_cancel.empty()) {
     rec.metrics->counter("engine.cancelled_tokens").add(to_cancel.size());
     rec.metrics->gauge("engine.outstanding")
         .set(static_cast<double>(outstanding_.size()));
@@ -472,28 +450,19 @@ std::size_t Session::cancel_async(std::span<const std::uint64_t> tokens) {
   return to_cancel.size();
 }
 
-void Session::replay(std::span<const Observation> replayed) {
+void Session::replay(
+    std::span<const Observation> observations,
+    std::span<const std::pair<std::uint64_t, space::Configuration>>
+        outstanding,
+    std::uint64_t next_token) {
   require_open("replay");
-  HPB_REQUIRE(!round_in_flight_,
-              "Session::replay: a round is in flight; replay only precedes "
-              "fresh rounds");
-  for (const Observation& o : replayed) {
-    apply(o);
-  }
-}
-
-void Session::replay_async(const AsyncReplayResult& replayed) {
-  require_open("replay");
-  require_mode(SessionMode::kAsync, "replay_async");
   HPB_REQUIRE(outstanding_.empty() && next_token_ == 1,
-              "Session::replay_async: replay only precedes fresh asks");
-  for (const Observation& o : replayed.observations) {
+              "Session::replay: replay only precedes fresh suggests");
+  for (const Observation& o : observations) {
     apply(o);
   }
-  for (const auto& [token, config] : replayed.outstanding) {
-    outstanding_.emplace(token, config);
-  }
-  next_token_ = replayed.next_token;
+  outstanding_.insert(outstanding.begin(), outstanding.end());
+  next_token_ = next_token;
 }
 
 void Session::apply(Observation o) {
@@ -546,15 +515,13 @@ SessionStatus Session::status() const {
   s.evaluations = result_.history.size();
   s.num_failed = result_.num_failed;
   s.rounds = round_index_;
-  if (config_.mode == SessionMode::kAsync) {
-    s.async = true;
-    s.pending = outstanding_.size();
+  s.pending = outstanding_.size();
+  s.async = config_.mode == SessionMode::kAsync;
+  if (s.async) {
     s.pending_tokens.reserve(outstanding_.size());
     for (const auto& [token, config] : outstanding_) {
       s.pending_tokens.push_back(token);
     }
-  } else {
-    s.pending = round_in_flight_ ? pending_.size() : 0;
   }
   s.best_value = result_.best_value;
   s.best_config = result_.best_config.values();
@@ -574,7 +541,7 @@ SessionCheckpoint Session::checkpoint() const {
   }
   c.rounds = round_index_;
   c.observations = result_.history.size();
-  c.round_in_flight = round_in_flight_;
+  c.round_in_flight = round_in_flight();
   return c;
 }
 
@@ -593,14 +560,15 @@ void Session::finish(StopReason reason) {
 
 void Session::close() {
   require_open("close");
-  HPB_REQUIRE(!round_in_flight_,
-              "Session::close: a round of " + std::to_string(pending_.size()) +
-                  " suggestions is in flight; observe it (or cancel it) "
-                  "before closing");
   HPB_REQUIRE(outstanding_.empty(),
-              "Session::close: " + std::to_string(outstanding_.size()) +
-                  " tokens are outstanding; observe or cancel them before "
-                  "closing");
+              "Session::close: " +
+                  (round_in_flight()
+                       ? "a round of " + std::to_string(outstanding_.size()) +
+                             " suggestions is in flight; observe it (or "
+                             "cancel it) before closing"
+                       : std::to_string(outstanding_.size()) +
+                             " tokens are outstanding; observe or cancel "
+                             "them before closing"));
   if (journal_ != nullptr) {
     journal_op("finalize", [&] { journal_->finalize("closed"); });
   }

@@ -1,10 +1,10 @@
 // Session: the reentrant per-run core of the tuning loop.
 //
 // A Session owns everything one tuning run carries between rounds — the
-// tuner, the write-ahead journal, the observability recorder, the pending
-// (suggested-but-unobserved) round, the stopping bookkeeping, and the
-// best-so-far trajectory — behind explicit suggest / observe / status /
-// checkpoint entry points. TuningEngine::run drives a single Session to
+// tuner, the write-ahead journal, the observability recorder, the
+// outstanding (suggested-but-unobserved) suggestions, the stopping
+// bookkeeping, and the best-so-far trajectory — behind explicit suggest /
+// observe / cancel / status / checkpoint entry points. TuningEngine::run drives a single Session to
 // completion (evaluating the objective itself); SessionManager hosts
 // thousands of named Sessions whose clients evaluate remotely and come and
 // go between verbs.
@@ -15,31 +15,39 @@
 // ids, clock reads, journal bytes, and metrics all match the pre-split
 // driver bit for bit (pinned by tests/test_session.cpp).
 //
-// One round may be in flight at a time: suggest() with an unobserved round
-// throws, observe() validates that the delivered results match the pending
-// suggestions in order (an out-of-order observe is a client error, not a
-// crash). Failure handling, stopping bookkeeping, and journal finalization
-// semantics are unchanged from the engine they were extracted from. A stuck
-// round (client died mid-evaluation) is released with cancel_round(), which
-// journals an abandon marker so resume replays it as a cancelled round.
+// Both modes run one token state machine: every suggest issues one token
+// per suggestion into one ordered outstanding set, every result resolves a
+// token through one commit path, every cancel releases tokens, and one
+// replay restores the set from the journal. SessionMode selects only a
+// validation policy and a journal dialect:
 //
-// Asynchronous sessions (SessionMode::kAsync) drop the round structure:
-// suggest_async() issues per-suggestion tokens and never waits, results
-// come back one token at a time in any order via observe_async(), and
-// cancel_async() abandons tokens that will never resolve. Every verb is
-// journaled write-ahead (the ask line is durable before its tokens are
-// returned), so an async session is always evictable and a resumed one
-// re-exposes exactly the outstanding tokens a client could hold.
+//   - sync (round barrier): suggest refuses while any token is outstanding,
+//     so at most one round is in flight; the round is delivered whole, by
+//     configuration, in suggestion order (an out-of-order observe is a
+//     client error, not a crash) and reaches the tuner as one
+//     observe_batch; cancel releases the whole round (an `abandon` marker,
+//     so resume replays it as a cancelled round). Tokens stay internal.
+//   - async: suggest never waits and tokens are returned to the client;
+//     results resolve tokens one at a time in any order and any subset;
+//     cancel abandons any subset (or everything). Every verb is journaled
+//     write-ahead (the ask line is durable before its tokens are returned),
+//     so an async session is always evictable and a resumed one re-exposes
+//     exactly the outstanding tokens a client could hold.
+//
+// Failure handling, stopping bookkeeping, and journal finalization
+// semantics are unchanged from the engine they were extracted from.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/journal.hpp"
@@ -68,28 +76,31 @@ struct EvalMeter {
   std::uint64_t attempts = 1;
 };
 
-/// How a session hands out and takes back evaluations.
+/// How a session hands out and takes back evaluations: the validation
+/// policy over the one token state machine, and the journal dialect.
 enum class SessionMode {
-  /// Round-structured: one suggest_batch at a time, observed whole, in
-  /// suggestion order.
+  /// Round barrier: one suggest_batch at a time, observed whole, in
+  /// suggestion order. Tokens are internal to the round.
   kSync,
-  /// Token-structured: suggestions carry tokens, results resolve tokens in
-  /// any order, suggest never waits on outstanding evaluations.
+  /// Token-structured: suggestions carry client-visible tokens, results
+  /// resolve tokens in any order, suggest never waits on outstanding
+  /// evaluations.
   kAsync,
 };
 
-/// One tokenized suggestion of an asynchronous session.
-struct AsyncSuggestion {
+/// One tokenized suggestion.
+struct Suggestion {
   std::uint64_t token = 0;
   space::Configuration config;
 };
 
-/// One completed evaluation of an asynchronous session, identified by
-/// token (the session resolves the configuration itself).
-struct AsyncResult {
+/// One completed evaluation identified by token (the session resolves the
+/// configuration itself).
+struct TokenResult {
   std::uint64_t token = 0;
   tabular::EvalStatus status = tabular::EvalStatus::kOk;
-  double y = 0.0;
+  /// Finite exactly when the status is ok; a failure carries no value.
+  double y = std::numeric_limits<double>::quiet_NaN();
 
   [[nodiscard]] bool ok() const noexcept {
     return status == tabular::EvalStatus::kOk;
@@ -123,7 +134,7 @@ struct SessionConfig {
   /// Round-structured (default) or token-structured asynchronous session.
   SessionMode mode = SessionMode::kSync;
   /// Async sessions: cap on outstanding (suggested-but-unresolved) tokens.
-  /// A suggest_async that would exceed it throws hpb::OverloadError before
+  /// A suggest that would exceed it throws hpb::OverloadError before
   /// any state changes. 0 = unlimited. Sync rounds are naturally bounded
   /// by one batch and ignore this.
   std::size_t max_pending = 0;
@@ -197,55 +208,46 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Ask the tuner for up to `k` configurations and open a round: emits
-  /// the suggest span, writes the journal round marker, and records the
-  /// batch as pending. Throws if a round is already in flight or the
-  /// session is finished.
-  [[nodiscard]] std::vector<space::Configuration> suggest(std::size_t k);
+  /// Ask the tuner for up to `k` configurations and issue one token per
+  /// suggestion, journaled write-ahead (sync: the round marker; async: the
+  /// ask line). Sync sessions open a round and throw while one is already
+  /// in flight; async sessions never wait, but shed with OverloadError past
+  /// max_pending. Throws if the session is finished.
+  [[nodiscard]] std::vector<Suggestion> suggest(std::size_t k);
 
-  /// Deliver the evaluated round, in suggestion order. Validates that the
-  /// observations match the pending suggestions (out-of-order or foreign
-  /// results throw without corrupting the session), journals them, feeds
-  /// the tuner, and applies best-so-far + stopping bookkeeping. `meters`
-  /// (driver-side timing) feeds the evaluate spans and latency histograms;
-  /// remote sessions pass none and get no evaluate spans.
-  void observe(std::vector<Observation> observations,
+  /// Sync: deliver the evaluated round by configuration, in suggestion
+  /// order. Validates that the observations match the round's suggestions
+  /// (out-of-order or foreign results throw without corrupting the
+  /// session), then commits them: journal, tuner (one observe_batch), and
+  /// best-so-far + stopping bookkeeping. `meters` (driver-side timing)
+  /// feeds the evaluate spans and latency histograms; remote sessions pass
+  /// none and get no evaluate spans.
+  void observe(const std::vector<Observation>& observations,
                std::span<const EvalMeter> meters = {});
 
-  /// Release the in-flight round without observing it (the client
-  /// evaluating it died or gave up): journals the abandon marker, hands
-  /// every pending suggestion back to the tuner via abandon(), and reopens
-  /// the session for the next suggest. Returns the number of suggestions
-  /// released. Sync sessions only.
-  std::size_t cancel_round();
+  /// Async: deliver completed evaluations by token, in any order and any
+  /// subset. Every token must be outstanding and appear at most once per
+  /// call; validation happens before any state changes, so a bad call
+  /// leaves the session untouched.
+  void observe(std::span<const TokenResult> results);
 
-  /// Async: ask the tuner for up to `k` configurations and issue one token
-  /// per suggestion. Never waits on outstanding evaluations — the ask is
-  /// journaled write-ahead and the tokens join the outstanding set. Throws
-  /// on sync sessions.
-  [[nodiscard]] std::vector<AsyncSuggestion> suggest_async(std::size_t k);
+  /// Release outstanding tokens that will never be observed (the client
+  /// evaluating them died or gave up), journaled before the tuner sees the
+  /// abandon. Sync: `tokens` must be empty and the whole in-flight round is
+  /// released. Async: the given tokens, or every outstanding token when
+  /// `tokens` is empty (the un-wedge verb for a client that lost track).
+  /// Returns the number of suggestions released.
+  std::size_t cancel(std::span<const std::uint64_t> tokens = {});
 
-  /// Async: deliver completed evaluations in any order and any subset.
-  /// Every token must be outstanding and appear at most once per call;
-  /// validation happens before any state changes, so a bad call leaves the
-  /// session untouched.
-  void observe_async(std::span<const AsyncResult> results);
-
-  /// Async: abandon outstanding tokens that will never resolve. An empty
-  /// span cancels every outstanding token (the un-wedge verb for a client
-  /// that lost track). Returns the number of tokens cancelled.
-  std::size_t cancel_async(std::span<const std::uint64_t> tokens);
-
-  /// Apply already-journaled observations (from replay_journal, which
-  /// drove them through the tuner) to the result and stopping bookkeeping.
-  /// Only valid before the first suggest of a fresh session.
-  void replay(std::span<const Observation> replayed);
-
-  /// Async counterpart of replay(): apply the journaled observations and
-  /// restore the outstanding-token set and the token counter from an
-  /// AsyncReplayResult. Only valid before the first ask of a fresh async
-  /// session.
-  void replay_async(const AsyncReplayResult& replayed);
+  /// Apply a journal replay (from replay_journal, which already drove the
+  /// tuner): the observations go through the result and stopping
+  /// bookkeeping, and the outstanding tokens and the token counter are
+  /// restored. Only valid before the first suggest of a fresh session.
+  void replay(
+      std::span<const Observation> observations,
+      std::span<const std::pair<std::uint64_t, space::Configuration>>
+          outstanding = {},
+      std::uint64_t next_token = 1);
 
   [[nodiscard]] SessionStatus status() const;
 
@@ -270,8 +272,9 @@ class Session {
   [[nodiscard]] std::size_t evaluations() const noexcept {
     return result_.history.size();
   }
+  /// A sync round is in flight (always false for async sessions).
   [[nodiscard]] bool round_in_flight() const noexcept {
-    return round_in_flight_;
+    return config_.mode == SessionMode::kSync && !outstanding_.empty();
   }
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
   [[nodiscard]] StopReason stop_reason() const noexcept { return reason_; }
@@ -293,7 +296,24 @@ class Session {
   void apply(Observation o);
 
   void require_open(const char* verb) const;
-  void require_mode(SessionMode mode, const char* verb) const;
+
+  /// Map a sync round delivered by configuration onto the round's tokens:
+  /// the barrier policy for observe (the whole round, in issue order).
+  [[nodiscard]] std::vector<TokenResult> round_results(
+      std::span<const Observation> observations) const;
+
+  /// The one observe commit path: validate every result, then journal,
+  /// feed the tuner, and apply each group — a whole sync round or a single
+  /// async token.
+  void commit(std::span<const TokenResult> results,
+              std::span<const EvalMeter> meters);
+
+  /// Sync rounds: the evaluate spans and round counters emitted before the
+  /// round is journaled, and the round span / latency emitted after.
+  void meter_round(std::span<const Observation> observations,
+                   std::span<const EvalMeter> meters, std::size_t failed);
+  void close_round(std::size_t actual, std::size_t failed,
+                   std::span<const EvalMeter> meters);
 
   /// Run one journal mutation; an IoError marks the session degraded and
   /// rethrows as a structured hpb::Error naming the read-only contract.
@@ -316,18 +336,17 @@ class Session {
   std::atomic<bool> degraded_{false};
   std::string degraded_reason_;
 
-  // In-flight round state (sync mode).
-  bool round_in_flight_ = false;
-  std::vector<space::Configuration> pending_;
-  std::size_t round_requested_ = 0;
-  std::size_t round_index_ = 0;
-  std::uint64_t round_id_ = 0;
-  std::uint64_t round_start_ = 0;
-
-  // Outstanding tokens (async mode), ordered by issue. The ordered map
-  // keeps status().pending_tokens deterministic.
+  // Outstanding tokens, ordered by issue (a sync session holds at most
+  // one round here). The ordered map keeps status().pending_tokens
+  // deterministic.
   std::map<std::uint64_t, space::Configuration> outstanding_;
   std::uint64_t next_token_ = 1;
+  // Completed sync rounds (cancelled included) / async asks.
+  std::size_t round_index_ = 0;
+  // The in-flight sync round's requested size and trace span.
+  std::size_t round_requested_ = 0;
+  std::uint64_t round_id_ = 0;
+  std::uint64_t round_start_ = 0;
 };
 
 }  // namespace hpb::core

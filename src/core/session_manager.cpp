@@ -110,9 +110,7 @@ SessionManager::SessionManager(SessionFactory factory,
   }
   if (!config_.journal_dir.empty()) {
     fs::ensure_dir(config_.journal_dir);
-    if (config_.recover_on_start) {
-      recover();
-    }
+    recover();
   }
 }
 
@@ -315,22 +313,14 @@ std::shared_ptr<SessionManager::Entry> SessionManager::resume_from_journal(
   // Deterministic tuners rebuild their exact state from their journaled
   // suggest/observe sequence; the resumed session's next suggestion is
   // bitwise-identical to the one the evicted instance would have made.
-  std::shared_ptr<Entry> entry;
-  if (contents.header.async) {
-    AsyncReplayResult replayed =
-        replay_journal_async(*backend.tuner, *backend.space, contents);
-    auto journal =
-        std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
-    entry = make_entry(spec, std::move(backend), std::move(journal));
-    entry->session->replay_async(replayed);
-  } else {
-    std::vector<Observation> replayed =
-        replay_journal(*backend.tuner, *backend.space, contents);
-    auto journal =
-        std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
-    entry = make_entry(spec, std::move(backend), std::move(journal));
-    entry->session->replay(replayed);
-  }
+  const ReplayResult replayed =
+      replay_journal(*backend.tuner, *backend.space, contents);
+  auto journal =
+      std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
+  std::shared_ptr<Entry> entry =
+      make_entry(spec, std::move(backend), std::move(journal));
+  entry->session->replay(replayed.observations, replayed.outstanding,
+                         replayed.next_token);
   stripe.map.emplace(name, entry);
   ++resumed_;
   count("manager.resumed");
@@ -368,21 +358,10 @@ void SessionManager::evict_over_capacity(Stripe& stripe) {
     return;
   }
   while (stripe.map.size() > stripe_capacity_) {
-    // Idle entries are safe to inspect under the stripe mutex: every verb
-    // bumps in_use under this mutex before touching the session, so
-    // in_use == 0 here happens-after any prior verb completed.
     auto victim = stripe.map.end();
     for (auto it = stripe.map.begin(); it != stripe.map.end(); ++it) {
-      Entry& e = *it->second;
-      // A degraded session is pinned hot: evicting it would let the next
-      // verb "resume" from its journal and mask the disk fault behind a
-      // half-replayed session. It stays resident, read-only, and visible
-      // in health until an operator restarts with a healthy disk.
-      if (e.in_use > 0 || !e.session->journaled() ||
-          e.session->round_in_flight() || e.session->degraded()) {
-        continue;
-      }
-      if (victim == stripe.map.end() || e.tick < victim->second->tick) {
+      if (evictable(*it->second) && (victim == stripe.map.end() ||
+                                     it->second->tick < victim->second->tick)) {
         victim = it;
       }
     }
@@ -397,64 +376,49 @@ void SessionManager::evict_over_capacity(Stripe& stripe) {
   }
 }
 
-std::vector<space::Configuration> SessionManager::suggest(
-    const std::string& name, std::size_t k) {
+bool SessionManager::evictable(const Entry& e) {
+  // Idle entries are safe to inspect under the stripe mutex: every verb
+  // bumps in_use under this mutex before touching the session, so
+  // in_use == 0 here happens-after any prior verb completed. A sync round
+  // in flight pins the session: its suggestions would be orphaned (the
+  // journal holds only the round marker, which resume discards). A
+  // degraded session is pinned too: evicting it would let the next verb
+  // "resume" from its journal and mask the disk fault behind a
+  // half-replayed session. It stays resident, read-only, and visible in
+  // health until an operator restarts with a healthy disk.
+  return e.in_use == 0 && e.session->journaled() &&
+         !e.session->round_in_flight() && !e.session->degraded();
+}
+
+SessionManager::Suggested SessionManager::suggest(const std::string& name,
+                                                  std::size_t k) {
   Lease lease(*this, acquire(name));
   if (k == 0) {
     k = lease.entry().spec.batch_size;
   }
-  return lease.session().suggest(k);
+  return {.suggestions = lease.session().suggest(k),
+          .tokens_visible =
+              lease.session().config().mode == SessionMode::kAsync};
 }
 
-SessionStatus SessionManager::observe(const std::string& name,
-                                      std::vector<Observation> observations) {
+SessionStatus SessionManager::observe(
+    const std::string& name, const std::vector<Observation>& observations) {
   Lease lease(*this, acquire(name));
-  lease.session().observe(std::move(observations));
+  lease.session().observe(observations);
   return lease.session().status();
 }
 
-std::vector<AsyncSuggestion> SessionManager::suggest_async(
-    const std::string& name, std::size_t k) {
+SessionStatus SessionManager::observe(const std::string& name,
+                                      std::span<const TokenResult> results) {
   Lease lease(*this, acquire(name));
-  if (k == 0) {
-    k = lease.entry().spec.batch_size;
-  }
-  return lease.session().suggest_async(k);
-}
-
-SessionManager::SuggestOutcome SessionManager::suggest_any(
-    const std::string& name, std::size_t k) {
-  Lease lease(*this, acquire(name));
-  if (k == 0) {
-    k = lease.entry().spec.batch_size;
-  }
-  SuggestOutcome out;
-  if (lease.session().config().mode == SessionMode::kAsync) {
-    out.async = true;
-    out.suggestions = lease.session().suggest_async(k);
-  } else {
-    out.configs = lease.session().suggest(k);
-  }
-  return out;
-}
-
-SessionStatus SessionManager::observe_async(
-    const std::string& name, std::span<const AsyncResult> results) {
-  Lease lease(*this, acquire(name));
-  lease.session().observe_async(results);
+  lease.session().observe(results);
   return lease.session().status();
 }
 
 std::size_t SessionManager::cancel(const std::string& name,
                                    std::span<const std::uint64_t> tokens) {
   Lease lease(*this, acquire(name));
-  if (lease.session().config().mode == SessionMode::kAsync) {
-    return lease.session().cancel_async(tokens);
-  }
-  HPB_REQUIRE(tokens.empty(),
-              "SessionManager::cancel: synchronous sessions have no tokens; "
-              "cancel releases the whole in-flight round");
-  return lease.session().cancel_round();
+  return lease.session().cancel(tokens);
 }
 
 SessionStatus SessionManager::status(const std::string& name) {
@@ -483,9 +447,7 @@ bool SessionManager::evict(const std::string& name) {
   if (it == stripe.map.end()) {
     return false;
   }
-  Entry& e = *it->second;
-  if (e.in_use > 0 || !e.session->journaled() ||
-      e.session->round_in_flight() || e.session->degraded()) {
+  if (!evictable(*it->second)) {
     return false;
   }
   stripe.map.erase(it);
@@ -520,19 +482,6 @@ ManagerHealth SessionManager::health() const {
   return h;
 }
 
-std::size_t SessionManager::degraded_count() const {
-  std::size_t n = 0;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->m);
-    for (const auto& [name, entry] : stripe->map) {
-      if (entry->session->degraded()) {
-        ++n;
-      }
-    }
-  }
-  return n;
-}
-
 std::size_t SessionManager::checkpoint_all() {
   std::size_t n = 0;
   for (auto& stripe_ptr : stripes_) {
@@ -561,28 +510,6 @@ std::size_t SessionManager::checkpoint_all() {
   }
   count("manager.checkpoint_all");
   return n;
-}
-
-std::size_t SessionManager::resident_count() const {
-  std::size_t n = 0;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->m);
-    n += stripe->map.size();
-  }
-  return n;
-}
-
-std::uint64_t SessionManager::created_count() const noexcept {
-  return created_.load(std::memory_order_relaxed);
-}
-std::uint64_t SessionManager::evicted_count() const noexcept {
-  return evicted_.load(std::memory_order_relaxed);
-}
-std::uint64_t SessionManager::resumed_count() const noexcept {
-  return resumed_.load(std::memory_order_relaxed);
-}
-std::uint64_t SessionManager::closed_count() const noexcept {
-  return closed_.load(std::memory_order_relaxed);
 }
 
 }  // namespace hpb::core

@@ -77,7 +77,9 @@ using SessionFactory = std::function<SessionBackend(const SessionSpec&)>;
 
 struct SessionManagerConfig {
   /// Directory for per-session write-ahead journals
-  /// (`<journal_dir>/<name>.hpbj`). Created (mkdir -p) by the constructor.
+  /// (`<journal_dir>/<name>.hpbj`). Created (mkdir -p) by the constructor,
+  /// which also adopts every resumable journal already there as a cold
+  /// session and quarantines unreadable ones (see recovery()).
   /// Empty disables journaling — sessions then live only in memory and are
   /// never evicted (there would be nothing to resume from).
   std::string journal_dir;
@@ -90,11 +92,6 @@ struct SessionManagerConfig {
   /// SessionConfig::max_pending). A suggest that would exceed it is shed
   /// with hpb::OverloadError. 0 = unlimited.
   std::size_t max_pending_per_session = 0;
-  /// Cold-start recovery: scan journal_dir in the constructor, adopt every
-  /// resumable journal as a cold session and quarantine unreadable ones to
-  /// `<name>.hpbj.corrupt` (see recovery()). Disable for tests that stage
-  /// corrupt journals after construction.
-  bool recover_on_start = true;
   /// Manager-level observability: `session.*` spans and `manager.*`
   /// counters. Per-session engine metrics go to each session's private
   /// registry, not here.
@@ -142,41 +139,33 @@ class SessionManager {
   /// resident, or already has a journal on disk (finished or not).
   void create(const SessionSpec& spec);
 
-  /// Ask the named session for up to k configurations. Resumes the
-  /// session from its journal when it was evicted.
-  [[nodiscard]] std::vector<space::Configuration> suggest(
-      const std::string& name, std::size_t k);
-
-  /// Deliver the evaluated round (suggestion order). Returns the
-  /// post-observe status snapshot.
-  SessionStatus observe(const std::string& name,
-                        std::vector<Observation> observations);
-
-  /// Async sessions: ask for up to k tokenized configurations without
-  /// waiting on outstanding evaluations.
-  [[nodiscard]] std::vector<AsyncSuggestion> suggest_async(
-      const std::string& name, std::size_t k);
-
-  /// One suggest over either mode, dispatched on the session's own mode
-  /// under a single lease (the wire layer does not know a name's mode).
-  /// Sync sessions fill `configs`; async sessions fill `suggestions`.
-  struct SuggestOutcome {
-    bool async = false;
-    std::vector<space::Configuration> configs;
-    std::vector<AsyncSuggestion> suggestions;
+  /// A suggest answered by the manager: the tokenized suggestions, and
+  /// whether the tokens are client-visible (async sessions) or internal
+  /// to a sync round (whose results come back by configuration).
+  struct Suggested {
+    std::vector<Suggestion> suggestions;
+    bool tokens_visible = false;
   };
-  [[nodiscard]] SuggestOutcome suggest_any(const std::string& name,
-                                           std::size_t k);
+
+  /// Ask the named session for up to k configurations (0 = the session's
+  /// batch size). Resumes the session from its journal when it was
+  /// evicted.
+  [[nodiscard]] Suggested suggest(const std::string& name, std::size_t k);
+
+  /// Sync sessions: deliver the evaluated round by configuration, in
+  /// suggestion order. Returns the post-observe status snapshot.
+  SessionStatus observe(const std::string& name,
+                        const std::vector<Observation>& observations);
 
   /// Async sessions: deliver completed evaluations by token, in any order
   /// and any subset. Returns the post-observe status snapshot.
-  SessionStatus observe_async(const std::string& name,
-                              std::span<const AsyncResult> results);
+  SessionStatus observe(const std::string& name,
+                        std::span<const TokenResult> results);
 
-  /// Release work that will never be observed. Async sessions: abandon the
-  /// given tokens (empty = every outstanding token). Sync sessions: cancel
-  /// the in-flight round whole (tokens must be empty). Returns the number
-  /// of suggestions released.
+  /// Release work that will never be observed (see Session::cancel):
+  /// async sessions abandon the given tokens (empty = every outstanding
+  /// token); sync sessions cancel the in-flight round whole (tokens must be
+  /// empty). Returns the number of suggestions released.
   std::size_t cancel(const std::string& name,
                      std::span<const std::uint64_t> tokens = {});
 
@@ -189,21 +178,18 @@ class SessionManager {
   void close(const std::string& name);
 
   /// Force-evict one session (test hook; production eviction is LRU).
-  /// Returns false when the session is missing, busy, journal-less, or has
-  /// a round in flight.
+  /// Returns false when the session is missing or not evictable (see
+  /// evictable()).
   bool evict(const std::string& name);
 
-  /// The cold-start scan's findings (empty when recover_on_start was off
-  /// or journaling is disabled).
+  /// The cold-start scan's findings (empty when journaling is disabled).
   [[nodiscard]] const RecoveryReport& recovery() const noexcept {
     return recovery_;
   }
 
-  /// Survivability counters for the `health` verb.
+  /// Survivability counters for the `health` verb (resident and degraded
+  /// sessions right now, lifetime created / evicted / resumed / closed).
   [[nodiscard]] ManagerHealth health() const;
-
-  /// Resident sessions currently degraded (journal append failed).
-  [[nodiscard]] std::size_t degraded_count() const;
 
   /// Drain support: take a durability checkpoint of every resident idle
   /// session (journals are fsync'd per record, so this verifies rather
@@ -213,16 +199,6 @@ class SessionManager {
 
   /// Deterministic JSON snapshot of the named session's private metrics.
   [[nodiscard]] std::string session_metrics_json(const std::string& name);
-
-  /// Resident (in-memory) sessions right now.
-  [[nodiscard]] std::size_t resident_count() const;
-
-  /// Lifetime counters (also exported as manager.* metrics when a
-  /// registry is attached).
-  [[nodiscard]] std::uint64_t created_count() const noexcept;
-  [[nodiscard]] std::uint64_t evicted_count() const noexcept;
-  [[nodiscard]] std::uint64_t resumed_count() const noexcept;
-  [[nodiscard]] std::uint64_t closed_count() const noexcept;
 
   [[nodiscard]] const SessionManagerConfig& config() const noexcept {
     return config_;
@@ -262,6 +238,10 @@ class SessionManager {
   /// Evict LRU idle sessions while the stripe exceeds its share of
   /// max_resident. Caller holds the stripe mutex.
   void evict_over_capacity(Stripe& stripe);
+
+  /// Whether dropping the entry from memory loses nothing. Caller holds
+  /// the stripe mutex.
+  [[nodiscard]] static bool evictable(const Entry& entry);
 
   /// Rebuild an evicted session from its journal. Caller holds the stripe
   /// mutex and pins (in_use) the returned entry itself.

@@ -218,42 +218,63 @@ std::string handle_suggest(core::SessionManager& manager,
   require_only_keys(request, {"verb", "session", "count", "rid"});
   const std::string name = require_string(request, "session");
   const std::size_t count = size_field(request, "count", 0);
-  const core::SessionManager::SuggestOutcome outcome =
-      manager.suggest_any(name, count);
+  const core::SessionManager::Suggested suggested =
+      manager.suggest(name, count);
+  const std::vector<core::Suggestion>& suggestions = suggested.suggestions;
   std::string out = "{\"ok\":true,\"configs\":[";
-  if (outcome.async) {
-    for (std::size_t i = 0; i < outcome.suggestions.size(); ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      out += values_json(outcome.suggestions[i].config.values());
+  for (std::size_t i = 0; i < suggestions.size(); ++i) {
+    if (i > 0) {
+      out += ',';
     }
+    out += values_json(suggestions[i].config.values());
+  }
+  // Sync tokens stay internal: the round comes back by configuration.
+  if (suggested.tokens_visible) {
     out += "],\"tokens\":[";
-    for (std::size_t i = 0; i < outcome.suggestions.size(); ++i) {
+    for (std::size_t i = 0; i < suggestions.size(); ++i) {
       if (i > 0) {
         out += ',';
       }
-      out += std::to_string(outcome.suggestions[i].token);
-    }
-  } else {
-    for (std::size_t i = 0; i < outcome.configs.size(); ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      out += values_json(outcome.configs[i].values());
+      out += std::to_string(suggestions[i].token);
     }
   }
   out += "]}";
   return out;
 }
 
-core::Observation parse_result(const JsonValue& item, std::size_t index) {
-  if (!item.is_object()) {
-    bad("'results[" + std::to_string(index) + "]' must be an object, got " +
-        item.kind_name());
+/// The outcome of results[index], shared by both result shapes: an
+/// optional status (default ok) and a y present exactly when it is ok.
+/// Failed evaluations carry no value (NaN, exactly as the in-process
+/// engine records them); a y on a failed result is a client bug worth
+/// flagging.
+void parse_outcome(const JsonValue& item, std::size_t index,
+                   tabular::EvalStatus& status, double& y) {
+  const std::string at = "'results[" + std::to_string(index) + "]";
+  status = tabular::EvalStatus::kOk;
+  if (item.find("status") != nullptr) {
+    const std::string label = require_string(item, "status");
+    try {
+      status = tabular::status_from_name(label);
+    } catch (const Error&) {
+      bad(at + ".status' has unknown value '" + label +
+          "' (expected ok, invalid, crashed, or timeout)");
+    }
   }
+  y = std::numeric_limits<double>::quiet_NaN();
+  if (status == tabular::EvalStatus::kOk) {
+    const JsonValue& v = require_key(item, "y");
+    if (!v.is_number()) {
+      bad(at + ".y' must be a number");
+    }
+    y = v.as_number();
+  } else if (item.find("y") != nullptr) {
+    bad(at + ".y' must be omitted when status is not ok");
+  }
+}
+
+/// A sync result: the evaluated configuration and its outcome.
+core::Observation parse_result(const JsonValue& item, std::size_t index) {
   require_only_keys(item, {"config", "y", "status"});
-  core::Observation o;
   const JsonValue& config = require_key(item, "config");
   if (!config.is_array()) {
     bad("'results[" + std::to_string(index) + "].config' must be an array");
@@ -267,59 +288,19 @@ core::Observation parse_result(const JsonValue& item, std::size_t index) {
     }
     values.push_back(v.as_number());
   }
+  core::Observation o;
   o.config = space::Configuration(std::move(values));
-  if (item.find("status") != nullptr) {
-    const std::string label = require_string(item, "status");
-    try {
-      o.status = tabular::status_from_name(label);
-    } catch (const Error&) {
-      bad("'results[" + std::to_string(index) + "].status' has unknown value '" +
-          label + "' (expected ok, invalid, crashed, or timeout)");
-    }
-  }
-  if (o.ok()) {
-    const JsonValue& y = require_key(item, "y");
-    if (!y.is_number()) {
-      bad("'results[" + std::to_string(index) + "].y' must be a number");
-    }
-    o.y = y.as_number();
-  } else {
-    // Failed evaluations carry no value (NaN in the history, exactly as
-    // the in-process engine records them); a y on a failed result is a
-    // client bug worth flagging.
-    if (item.find("y") != nullptr) {
-      bad("'results[" + std::to_string(index) +
-          "].y' must be omitted when status is not ok");
-    }
-    o.y = std::numeric_limits<double>::quiet_NaN();
-  }
+  parse_outcome(item, index, o.status, o.y);
   return o;
 }
 
-core::AsyncResult parse_async_result(const JsonValue& item,
+/// An async result: the token it resolves and its outcome.
+core::TokenResult parse_token_result(const JsonValue& item,
                                      std::size_t index) {
   require_only_keys(item, {"token", "y", "status"});
-  core::AsyncResult r;
+  core::TokenResult r;
   r.token = token_field(item, "token");
-  if (item.find("status") != nullptr) {
-    const std::string label = require_string(item, "status");
-    try {
-      r.status = tabular::status_from_name(label);
-    } catch (const Error&) {
-      bad("'results[" + std::to_string(index) + "].status' has unknown value '" +
-          label + "' (expected ok, invalid, crashed, or timeout)");
-    }
-  }
-  if (r.ok()) {
-    const JsonValue& y = require_key(item, "y");
-    if (!y.is_number()) {
-      bad("'results[" + std::to_string(index) + "].y' must be a number");
-    }
-    r.y = y.as_number();
-  } else if (item.find("y") != nullptr) {
-    bad("'results[" + std::to_string(index) +
-        "].y' must be omitted when status is not ok");
-  }
+  parse_outcome(item, index, r.status, r.y);
   return r;
 }
 
@@ -348,19 +329,19 @@ std::string handle_observe(core::SessionManager& manager,
   }
   core::SessionStatus status;
   if (async) {
-    std::vector<core::AsyncResult> parsed;
+    std::vector<core::TokenResult> parsed;
     parsed.reserve(items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
-      parsed.push_back(parse_async_result(items[i], i));
+      parsed.push_back(parse_token_result(items[i], i));
     }
-    status = manager.observe_async(name, parsed);
+    status = manager.observe(name, parsed);
   } else {
     std::vector<core::Observation> observations;
     observations.reserve(items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
       observations.push_back(parse_result(items[i], i));
     }
-    status = manager.observe(name, std::move(observations));
+    status = manager.observe(name, observations);
   }
   return "{\"ok\":true,\"status\":" + status_json(status) + "}";
 }
@@ -428,8 +409,13 @@ std::string handle_health(core::SessionManager& manager,
 /// exactly-once: the winner of a concurrent same-rid race executes with
 /// the lock held, the loser then finds the recorded response.
 struct SessionRids {
+  struct Entry {
+    std::string rid;
+    std::string request;  // the request line, byte for byte
+    std::string response;
+  };
   std::mutex m;
-  std::deque<std::pair<std::string, std::string>> entries;  // (rid, response)
+  std::deque<Entry> entries;
 };
 
 /// Striped session → SessionRids map. Stripe mutexes guard only the map;
@@ -471,13 +457,22 @@ WireService::~WireService() = default;
 
 std::string WireService::replay_or_execute(
     const std::string& session, const std::string& rid,
-    const std::function<std::string()>& run) {
+    std::string_view request, const std::function<std::string()>& run) {
   const std::shared_ptr<SessionRids> rids = rids_->get(session);
   std::lock_guard<std::mutex> lock(rids->m);
-  for (const auto& [seen_rid, response] : rids->entries) {
-    if (seen_rid == rid) {
-      return response;  // byte-identical replay, no re-execution
+  for (const SessionRids::Entry& seen : rids->entries) {
+    if (seen.rid != rid) {
+      continue;
     }
+    // A retry is the same request line; a different request reusing the
+    // rid is a client bug, and replaying the other request's response
+    // would silently drop this one.
+    if (seen.request != request) {
+      bad("'rid' \"" + rid +
+          "\" was already used by a different request in this session; "
+          "a retry must resend the identical request line");
+    }
+    return seen.response;  // byte-identical replay, no re-execution
   }
   // Only successful responses are recorded: an error response means the
   // verb did not take effect (or left the session in a state that will
@@ -485,7 +480,7 @@ std::string WireService::replay_or_execute(
   // `overloaded` shed retried after capacity frees up must not replay the
   // shed.
   const std::string response = run();
-  rids->entries.emplace_back(rid, response);
+  rids->entries.push_back({rid, std::string(request), response});
   if (rids->entries.size() > kRidsPerSession) {
     rids->entries.pop_front();
   }
@@ -528,7 +523,8 @@ std::string WireService::handle_line(std::string_view line) {
         }
         return handle_cancel(manager_, request);
       };
-      return rid.empty() ? run() : replay_or_execute(session, rid, run);
+      return rid.empty() ? run()
+                         : replay_or_execute(session, rid, line, run);
     }
     if (name == "status") {
       return handle_status(manager_, request);

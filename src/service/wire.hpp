@@ -25,9 +25,12 @@
 //
 // Idempotent retries: suggest / observe / cancel accept an optional
 // client-chosen `"rid"` string (1..64 chars). The service remembers the
-// last kRidsPerSession successful responses per session; a retried rid
-// returns the recorded response byte-identically — no new tokens minted,
-// no observation double-applied. Error responses are not recorded, so a
+// last kRidsPerSession successful requests per session, each request line
+// beside its response; a retry — the byte-identical request line with the
+// same rid — returns the recorded response byte-identically: no new tokens
+// minted, no observation double-applied. A different request reusing a
+// remembered rid is rejected with bad_request naming the rid; it executes
+// nothing and records nothing. Error responses are not recorded, so a
 // shed or rejected request may be retried with the same rid. The cache is
 // in-memory only: after a daemon restart a retried rid re-executes, which
 // is why clients resync via `status` after a reconnect (see README,
@@ -86,12 +89,14 @@ class WireService {
  private:
   struct RidState;  // striped per-session replay cache (wire.cpp)
 
-  /// Replay the recorded response for (session, rid), or run `run` with the
-  /// session's rid lock held — a concurrent retry of the same rid blocks
-  /// and then replays, so the verb executes exactly once.
+  /// Replay the recorded response for (session, rid) when `request` is the
+  /// recorded request line (a rid reused by a different request throws the
+  /// bad_request error), or run `run` with the session's rid lock held — a
+  /// concurrent retry of the same rid blocks and then replays, so the verb
+  /// executes exactly once.
   [[nodiscard]] std::string replay_or_execute(
       const std::string& session, const std::string& rid,
-      const std::function<std::string()>& run);
+      std::string_view request, const std::function<std::string()>& run);
 
   /// Drop a closed session's replay window (its name may be re-created
   /// after the finalized journal is removed out of band).

@@ -6,12 +6,14 @@
 //     duplicate, already-resolved, and foreign tokens throw without
 //     mutating the session (validate-all-before-mutate); an ok result with
 //     a non-finite value is rejected;
-//   - cancel semantics: cancel_async releases specific tokens or (empty
-//     list) everything outstanding; close refuses while tokens are
-//     outstanding; sync sessions un-wedge a stuck round with cancel_round
-//     and both paths journal the abandonment for replay;
-//   - cross-mode misuse: sync verbs on an async session (and vice versa)
-//     are clear errors;
+//   - cancel semantics: cancel releases specific tokens or (empty list)
+//     everything outstanding; close refuses while tokens are outstanding;
+//     sync sessions un-wedge a stuck round with cancel and both paths
+//     journal the abandonment for replay;
+//   - mode policies over the one token state machine: round-shaped
+//     deliveries on an async session, and token deliveries, token cancels,
+//     or a second suggest on a sync session with a round out, are clear
+//     errors that leave the session untouched;
 //   - randomized fuzz: interleaved issue/complete/cancel with injected
 //     duplicate and foreign tokens keeps the session consistent with a
 //     shadow model (run under ASan/TSan by tools/check.sh);
@@ -45,8 +47,8 @@
 namespace hpb {
 namespace {
 
-using core::AsyncResult;
-using core::AsyncSuggestion;
+using core::TokenResult;
+using core::Suggestion;
 using core::Observation;
 using core::Session;
 using core::SessionManager;
@@ -88,7 +90,7 @@ core::JournalHeader async_header(const tabular::TabularObjective& ds,
   return h;
 }
 
-AsyncResult complete(const AsyncSuggestion& s) {
+TokenResult complete(const Suggestion& s) {
   return {s.token, EvalStatus::kOk, testutil::separable_value(s.config)};
 }
 
@@ -133,9 +135,9 @@ ScriptedRun run_fixed_schedule(const std::string& tag) {
                      .stop = {.max_evaluations = 64},
                      .mode = SessionMode::kAsync},
                     &journal);
-    std::deque<AsyncSuggestion> outstanding;
+    std::deque<Suggestion> outstanding;
     const auto issue = [&](std::size_t k) {
-      for (AsyncSuggestion& s : session.suggest_async(k)) {
+      for (Suggestion& s : session.suggest(k)) {
         run.suggested.push_back(s.config.values());
         run.tokens.push_back(s.token);
         outstanding.push_back(std::move(s));
@@ -145,20 +147,20 @@ ScriptedRun run_fixed_schedule(const std::string& tag) {
     // (maximally out of order), refill, cancel the oldest straggler, drain.
     issue(4);
     for (int i = 0; i < 3; ++i) {
-      const AsyncSuggestion s = outstanding.back();
+      const Suggestion s = outstanding.back();
       outstanding.pop_back();
-      const AsyncResult r[] = {complete(s)};
-      session.observe_async(r);
+      const TokenResult r[] = {complete(s)};
+      session.observe(r);
       issue(1);
     }
     const std::uint64_t straggler[] = {outstanding.front().token};
     outstanding.pop_front();
-    EXPECT_EQ(session.cancel_async(straggler), 1u);
+    EXPECT_EQ(session.cancel(straggler), 1u);
     while (!outstanding.empty()) {
-      const AsyncSuggestion s = outstanding.back();
+      const Suggestion s = outstanding.back();
       outstanding.pop_back();
-      const AsyncResult r[] = {complete(s)};
-      session.observe_async(r);
+      const TokenResult r[] = {complete(s)};
+      session.observe(r);
     }
     EXPECT_EQ(session.status().pending, 0u);
     session.close();
@@ -197,15 +199,15 @@ TEST(AsyncDeterminism, TokensAreDenseAndIssueOrdered) {
 TEST(AsyncSession, OutOfOrderAndPartialObserveSucceeds) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
-  const auto batch = session.suggest_async(3);
+  const auto batch = session.suggest(3);
   ASSERT_EQ(batch.size(), 3u);
   // Newest first, then a partial delivery of the remaining two.
-  const AsyncResult last[] = {complete(batch[2])};
-  session.observe_async(last);
+  const TokenResult last[] = {complete(batch[2])};
+  session.observe(last);
   EXPECT_EQ(session.evaluations(), 1u);
   EXPECT_EQ(session.status().pending, 2u);
-  const AsyncResult rest[] = {complete(batch[1]), complete(batch[0])};
-  session.observe_async(rest);
+  const TokenResult rest[] = {complete(batch[1]), complete(batch[0])};
+  session.observe(rest);
   EXPECT_EQ(session.evaluations(), 3u);
   EXPECT_EQ(session.status().pending, 0u);
 }
@@ -213,8 +215,8 @@ TEST(AsyncSession, OutOfOrderAndPartialObserveSucceeds) {
 TEST(AsyncSession, SuggestNeverWaitsOnOutstandingTokens) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
-  const auto first = session.suggest_async(2);
-  const auto second = session.suggest_async(2);  // no observe in between
+  const auto first = session.suggest(2);
+  const auto second = session.suggest(2);  // no observe in between
   EXPECT_EQ(session.status().pending, 4u);
   for (const auto& s : second) {
     EXPECT_GT(s.token, first.back().token);
@@ -224,59 +226,59 @@ TEST(AsyncSession, SuggestNeverWaitsOnOutstandingTokens) {
 TEST(AsyncSession, DuplicateTokenInOneCallThrowsWithoutMutation) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
-  const auto batch = session.suggest_async(2);
-  const AsyncResult dup[] = {complete(batch[0]), complete(batch[0])};
-  EXPECT_THROW(session.observe_async(dup), hpb::Error);
+  const auto batch = session.suggest(2);
+  const TokenResult dup[] = {complete(batch[0]), complete(batch[0])};
+  EXPECT_THROW(session.observe(dup), hpb::Error);
   EXPECT_EQ(session.evaluations(), 0u);
   EXPECT_EQ(session.status().pending, 2u);
   // The batch is still deliverable after the failed call.
-  const AsyncResult ok[] = {complete(batch[0]), complete(batch[1])};
-  session.observe_async(ok);
+  const TokenResult ok[] = {complete(batch[0]), complete(batch[1])};
+  session.observe(ok);
   EXPECT_EQ(session.evaluations(), 2u);
 }
 
 TEST(AsyncSession, ResolvedAndForeignTokensThrowWithoutMutation) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
-  const auto batch = session.suggest_async(2);
-  const AsyncResult first[] = {complete(batch[0])};
-  session.observe_async(first);
+  const auto batch = session.suggest(2);
+  const TokenResult first[] = {complete(batch[0])};
+  session.observe(first);
   // Already resolved: the token is gone.
-  EXPECT_THROW(session.observe_async(first), hpb::Error);
+  EXPECT_THROW(session.observe(first), hpb::Error);
   // Foreign: never issued.
-  const AsyncResult foreign[] = {{9999, EvalStatus::kOk, 1.0}};
-  EXPECT_THROW(session.observe_async(foreign), hpb::Error);
+  const TokenResult foreign[] = {{9999, EvalStatus::kOk, 1.0}};
+  EXPECT_THROW(session.observe(foreign), hpb::Error);
   // A mixed call (one valid + one foreign) must not consume the valid one.
-  const AsyncResult mixed[] = {complete(batch[1]),
+  const TokenResult mixed[] = {complete(batch[1]),
                                {9999, EvalStatus::kOk, 1.0}};
-  EXPECT_THROW(session.observe_async(mixed), hpb::Error);
+  EXPECT_THROW(session.observe(mixed), hpb::Error);
   EXPECT_EQ(session.evaluations(), 1u);
   EXPECT_EQ(session.status().pending, 1u);
-  const AsyncResult second[] = {complete(batch[1])};
-  session.observe_async(second);
+  const TokenResult second[] = {complete(batch[1])};
+  session.observe(second);
   EXPECT_EQ(session.evaluations(), 2u);
 }
 
 TEST(AsyncSession, NonFiniteOkValueIsRejected) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
-  const auto batch = session.suggest_async(1);
-  const AsyncResult nan_ok[] = {{batch[0].token, EvalStatus::kOk,
+  const auto batch = session.suggest(1);
+  const TokenResult nan_ok[] = {{batch[0].token, EvalStatus::kOk,
                                  std::nan("")}};
-  EXPECT_THROW(session.observe_async(nan_ok), hpb::Error);
+  EXPECT_THROW(session.observe(nan_ok), hpb::Error);
   // The same token delivered as a failure (no finite value needed) is fine.
-  const AsyncResult failed[] = {{batch[0].token, EvalStatus::kCrashed,
+  const TokenResult failed[] = {{batch[0].token, EvalStatus::kCrashed,
                                  std::nan("")}};
-  session.observe_async(failed);
+  session.observe(failed);
   EXPECT_EQ(session.status().num_failed, 1u);
 }
 
 TEST(AsyncSession, StatusReportsOutstandingTokensInIssueOrder) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
-  const auto batch = session.suggest_async(3);
-  const AsyncResult mid[] = {complete(batch[1])};
-  session.observe_async(mid);
+  const auto batch = session.suggest(3);
+  const TokenResult mid[] = {complete(batch[1])};
+  session.observe(mid);
   const SessionStatus st = session.status();
   EXPECT_TRUE(st.async);
   ASSERT_EQ(st.pending_tokens.size(), 2u);
@@ -289,15 +291,15 @@ TEST(AsyncSession, StatusReportsOutstandingTokensInIssueOrder) {
 TEST(AsyncSession, CancelSpecificTokensThenAll) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
-  const auto batch = session.suggest_async(4);
+  const auto batch = session.suggest(4);
   EXPECT_THROW(session.close(), hpb::Error);  // outstanding tokens pin it
   const std::uint64_t one[] = {batch[1].token};
-  EXPECT_EQ(session.cancel_async(one), 1u);
+  EXPECT_EQ(session.cancel(one), 1u);
   EXPECT_EQ(session.status().pending, 3u);
   // Cancelling an already-cancelled (or foreign) token is an error.
-  EXPECT_THROW((void)session.cancel_async(one), hpb::Error);
+  EXPECT_THROW((void)session.cancel(one), hpb::Error);
   // Empty list = cancel everything outstanding: the un-wedge path.
-  EXPECT_EQ(session.cancel_async({}), 3u);
+  EXPECT_EQ(session.cancel({}), 3u);
   EXPECT_EQ(session.status().pending, 0u);
   session.close();
   EXPECT_TRUE(session.finished());
@@ -311,41 +313,64 @@ TEST(SyncSession, CancelRoundReleasesAStuckRound) {
   auto batch = session.suggest(2);
   EXPECT_TRUE(session.round_in_flight());
   EXPECT_THROW(session.close(), hpb::Error);  // wedged: client died here
-  EXPECT_EQ(session.cancel_round(), 2u);
+  EXPECT_EQ(session.cancel(), 2u);
   EXPECT_FALSE(session.round_in_flight());
   // The session keeps working: a new round can be suggested and observed.
   batch = session.suggest(2);
   std::vector<Observation> obs;
-  for (auto& c : batch) {
+  for (auto& [token, c] : batch) {
     obs.push_back({c, testutil::separable_value(c), EvalStatus::kOk});
   }
   session.observe(std::move(obs));
   EXPECT_EQ(session.evaluations(), 2u);
   // Nothing to cancel is an error, not a silent zero.
-  EXPECT_THROW((void)session.cancel_round(), hpb::Error);
+  EXPECT_THROW((void)session.cancel(), hpb::Error);
   session.close();
 }
 
 // ------------------------------------------------------- cross-mode misuse
 
+// Both modes share one token state machine; the mode is a validation
+// policy. An async session refuses round-shaped deliveries (by
+// configuration): its results come back by token.
 TEST(CrossMode, SyncVerbsOnAsyncSessionThrow) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
-  EXPECT_THROW((void)session.suggest(1), hpb::Error);
-  EXPECT_THROW(session.observe({}), hpb::Error);
-  EXPECT_THROW((void)session.cancel_round(), hpb::Error);
-  // The failed sync verbs did not disturb the async side.
-  const auto batch = session.suggest_async(1);
-  EXPECT_EQ(batch.size(), 1u);
+  const auto batch = session.suggest(1);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_THROW(session.observe(std::vector<Observation>{{
+                   batch[0].config, 1.0, EvalStatus::kOk}}),
+               hpb::Error);
+  // The refused delivery did not disturb the token: it still resolves.
+  const TokenResult r[] = {complete(batch[0])};
+  session.observe(r);
+  EXPECT_EQ(session.evaluations(), 1u);
+  EXPECT_EQ(session.status().pending, 0u);
 }
 
+// The sync policy is the round barrier: tokens stay internal (deliveries by
+// token and cancels naming tokens are refused), suggest refuses while the
+// round is out, and the refused verbs leave the round deliverable.
 TEST(CrossMode, AsyncVerbsOnSyncSessionThrow) {
   auto ds = testutil::separable_dataset();
   auto tuner = eval::make_named_tuner("random", ds, kSeed);
   Session session(*tuner, {.batch_size = 2, .stop = {.max_evaluations = 8}});
-  EXPECT_THROW((void)session.suggest_async(1), hpb::Error);
-  EXPECT_THROW(session.observe_async({}), hpb::Error);
-  EXPECT_THROW((void)session.cancel_async({}), hpb::Error);
+  const auto batch = session.suggest(2);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_THROW((void)session.suggest(1), hpb::Error);
+  const TokenResult by_token[] = {complete(batch[0]), complete(batch[1])};
+  EXPECT_THROW(session.observe(by_token), hpb::Error);
+  const std::uint64_t one[] = {batch[0].token};
+  EXPECT_THROW((void)session.cancel(one), hpb::Error);
+  EXPECT_EQ(session.status().pending, 2u);
+  EXPECT_TRUE(session.status().pending_tokens.empty());
+  std::vector<Observation> round;
+  for (const auto& [token, c] : batch) {
+    round.push_back({c, testutil::separable_value(c), EvalStatus::kOk});
+  }
+  session.observe(round);
+  EXPECT_EQ(session.evaluations(), 2u);
+  EXPECT_EQ(session.status().rounds, 1u);
 }
 
 // ---------------------------------------------------------------- fuzzing
@@ -358,7 +383,7 @@ TEST(AsyncFuzz, RandomizedCompletionOrderKeepsStateConsistent) {
   std::unique_ptr<core::Tuner> tuner;
   Session session = make_async_session(tuner);
   Rng rng(0xf0220);
-  std::vector<AsyncSuggestion> outstanding;
+  std::vector<Suggestion> outstanding;
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::size_t cancelled = 0;
@@ -372,7 +397,7 @@ TEST(AsyncFuzz, RandomizedCompletionOrderKeepsStateConsistent) {
     if ((action < 4 || outstanding.empty()) && can_issue) {
       const std::size_t k =
           std::min<std::size_t>(1 + rng.index(3), kMaxIssued - issued);
-      for (AsyncSuggestion& s : session.suggest_async(k)) {
+      for (Suggestion& s : session.suggest(k)) {
         outstanding.push_back(std::move(s));
         ++issued;
       }
@@ -381,17 +406,17 @@ TEST(AsyncFuzz, RandomizedCompletionOrderKeepsStateConsistent) {
     } else if (action < 8) {
       // Complete a uniformly random outstanding token; one in five fails.
       const std::size_t pick = rng.index(outstanding.size());
-      const AsyncSuggestion s = outstanding[pick];
+      const Suggestion s = outstanding[pick];
       outstanding.erase(outstanding.begin() +
                         static_cast<std::ptrdiff_t>(pick));
       if (rng.index(5) == 0) {
-        const AsyncResult r[] = {{s.token, EvalStatus::kTimeout,
+        const TokenResult r[] = {{s.token, EvalStatus::kTimeout,
                                   std::nan("")}};
-        session.observe_async(r);
+        session.observe(r);
         ++failed;
       } else {
-        const AsyncResult r[] = {complete(s)};
-        session.observe_async(r);
+        const TokenResult r[] = {complete(s)};
+        session.observe(r);
       }
       ++completed;
     } else if (action == 8) {
@@ -399,24 +424,24 @@ TEST(AsyncFuzz, RandomizedCompletionOrderKeepsStateConsistent) {
       const std::uint64_t t[] = {outstanding[pick].token};
       outstanding.erase(outstanding.begin() +
                         static_cast<std::ptrdiff_t>(pick));
-      EXPECT_EQ(session.cancel_async(t), 1u);
+      EXPECT_EQ(session.cancel(t), 1u);
       ++cancelled;
     } else {
       // Hostile input: a foreign token, and (when possible) a duplicate
       // pair in one call. Both must throw and leave the state untouched.
-      const AsyncResult foreign[] = {{1u << 20, EvalStatus::kOk, 1.0}};
-      EXPECT_THROW(session.observe_async(foreign), hpb::Error);
+      const TokenResult foreign[] = {{1u << 20, EvalStatus::kOk, 1.0}};
+      EXPECT_THROW(session.observe(foreign), hpb::Error);
       if (!outstanding.empty()) {
-        const AsyncResult dup[] = {complete(outstanding[0]),
+        const TokenResult dup[] = {complete(outstanding[0]),
                                    complete(outstanding[0])};
-        EXPECT_THROW(session.observe_async(dup), hpb::Error);
+        EXPECT_THROW(session.observe(dup), hpb::Error);
       }
     }
     const SessionStatus st = session.status();
     ASSERT_EQ(st.pending, outstanding.size()) << "step " << step;
     ASSERT_EQ(st.evaluations, completed) << "step " << step;
   }
-  EXPECT_EQ(session.cancel_async({}), outstanding.size());
+  EXPECT_EQ(session.cancel({}), outstanding.size());
   EXPECT_EQ(session.status().num_failed, failed);
   EXPECT_GT(cancelled, 0u);
   session.close();
@@ -463,21 +488,21 @@ AsyncDriven drive_async_managed(const std::set<std::size_t>& evict_after,
                          {.journal_dir = fresh_dir(dir_tag)});
   manager.create(async_spec("aequiv"));
   AsyncDriven run;
-  std::deque<AsyncSuggestion> outstanding;
+  std::deque<Suggestion> outstanding;
   std::size_t deliveries = 0;
   for (std::size_t step = 0; step < 6; ++step) {
-    for (AsyncSuggestion& s : manager.suggest_async("aequiv", 2)) {
+    for (Suggestion& s : manager.suggest("aequiv", 2).suggestions) {
       run.suggested.push_back(s.config.values());
       outstanding.push_back(std::move(s));
     }
-    const AsyncSuggestion s = outstanding.back();
+    const Suggestion s = outstanding.back();
     outstanding.pop_back();
     ++deliveries;
-    const AsyncResult r[] = {
+    const TokenResult r[] = {
         deliveries % 4 == 0
-            ? AsyncResult{s.token, EvalStatus::kCrashed, std::nan("")}
+            ? TokenResult{s.token, EvalStatus::kCrashed, std::nan("")}
             : complete(s)};
-    (void)manager.observe_async("aequiv", r);
+    (void)manager.observe("aequiv", r);
     if (step == 3) {
       const std::uint64_t t[] = {outstanding.front().token};
       outstanding.pop_front();
@@ -488,13 +513,13 @@ AsyncDriven drive_async_managed(const std::set<std::size_t>& evict_after,
     }
   }
   while (!outstanding.empty()) {
-    const AsyncSuggestion s = outstanding.back();
+    const Suggestion s = outstanding.back();
     outstanding.pop_back();
-    const AsyncResult r[] = {complete(s)};
-    run.best = manager.observe_async("aequiv", r).best_value;
+    const TokenResult r[] = {complete(s)};
+    run.best = manager.observe("aequiv", r).best_value;
   }
-  EXPECT_EQ(manager.evicted_count(), evict_after.size());
-  EXPECT_EQ(manager.resumed_count(), evict_after.size());
+  EXPECT_EQ(manager.health().evicted, evict_after.size());
+  EXPECT_EQ(manager.health().resumed, evict_after.size());
   return run;
 }
 
@@ -538,9 +563,9 @@ std::vector<std::vector<double>> drive_sync_with_cancel(
   manager.create(spec);
   std::vector<std::vector<double>> suggested;
   const auto observe_round = [&] {
-    auto batch = manager.suggest("sequiv", 2);
+    auto batch = manager.suggest("sequiv", 2).suggestions;
     std::vector<Observation> obs;
-    for (auto& c : batch) {
+    for (auto& [token, c] : batch) {
       suggested.push_back(c.values());
       const double y = testutil::separable_value(c);
       obs.push_back({std::move(c), y, EvalStatus::kOk});
@@ -548,7 +573,7 @@ std::vector<std::vector<double>> drive_sync_with_cancel(
     (void)manager.observe("sequiv", std::move(obs));
   };
   observe_round();
-  for (const auto& c : manager.suggest("sequiv", 2)) {
+  for (const auto& [token, c] : manager.suggest("sequiv", 2).suggestions) {
     suggested.push_back(c.values());
   }
   EXPECT_EQ(manager.cancel("sequiv"), 2u);  // un-wedge the stuck round
@@ -580,11 +605,11 @@ TEST(AsyncManaged, CloseRequiresDrainOrCancel) {
   SessionManager manager(test_factory(),
                          {.journal_dir = fresh_dir("aclose")});
   manager.create(async_spec("stuck"));
-  (void)manager.suggest_async("stuck", 3);
+  (void)manager.suggest("stuck", 3).suggestions;
   EXPECT_THROW(manager.close("stuck"), hpb::Error);
   EXPECT_EQ(manager.cancel("stuck", {}), 3u);
   manager.close("stuck");
-  EXPECT_EQ(manager.closed_count(), 1u);
+  EXPECT_EQ(manager.health().closed, 1u);
 }
 
 }  // namespace

@@ -276,11 +276,22 @@ TEST(EngineJournal, EveryTunerResumesBitwiseFromAMidRunJournal) {
             .run(*full_tuner, ds, kBudget);
 
     core::JournalContents contents = core::read_journal(path);
-    ASSERT_GT(contents.rounds.size(), 2u);
-    contents.rounds.resize(contents.rounds.size() / 2);  // mid-run snapshot
+    const std::size_t rounds =
+        contents.count(core::JournalEvent::Kind::kAsk);
+    ASSERT_GT(rounds, 2u);
+    // Mid-run snapshot: keep the first rounds / 2 rounds (ask + members).
+    std::size_t kept = 0;
+    std::size_t asks = 0;
+    while (kept < contents.events.size() &&
+           !(contents.events[kept].kind == core::JournalEvent::Kind::kAsk &&
+             asks++ == rounds / 2)) {
+      ++kept;
+    }
+    contents.events.resize(kept);
     auto resumed_tuner = eval::make_named_tuner(name, ds, kSeed);
     const std::vector<Observation> replayed =
-        core::replay_journal(*resumed_tuner, ds.space(), contents);
+        core::replay_journal(*resumed_tuner, ds.space(), contents)
+            .observations;
     ASSERT_FALSE(replayed.empty());
     const TuneResult resumed =
         engine.run(*resumed_tuner, ds, kBudget, replayed);

@@ -43,6 +43,7 @@ namespace hpb {
 namespace {
 
 using core::JournalContents;
+using core::JournalEvent;
 using core::JournalHeader;
 using core::JournalWriter;
 using core::Observation;
@@ -120,12 +121,13 @@ TEST(JournalRoundTrip, HeaderRoundsAndFinalizeSurviveReadBack) {
   header.hang_rate = 0.03125;
   {
     JournalWriter writer = JournalWriter::create(path, header);
-    writer.begin_round(3, 2);
     Observation ok{ds.configs()[5], 17.5, tabular::EvalStatus::kOk};
     Observation bad{ds.configs()[9], std::nan(""),
                     tabular::EvalStatus::kInvalid};
-    writer.append_observation(ok);
-    writer.append_observation(bad);
+    const space::Configuration batch[] = {ok.config, bad.config};
+    writer.begin(3, 1, batch);
+    writer.record(1, ok);
+    writer.record(2, bad);
     writer.finalize("stagnation");
   }
   const JournalContents contents = core::read_journal(path);
@@ -141,17 +143,22 @@ TEST(JournalRoundTrip, HeaderRoundsAndFinalizeSurviveReadBack) {
   EXPECT_EQ(contents.header.fail_rate, header.fail_rate);
   EXPECT_EQ(contents.header.crash_rate, header.crash_rate);
   EXPECT_EQ(contents.header.hang_rate, header.hang_rate);
-  ASSERT_EQ(contents.rounds.size(), 1u);
-  EXPECT_EQ(contents.rounds[0].requested, 3u);
-  ASSERT_EQ(contents.rounds[0].observations.size(), 2u);
-  EXPECT_EQ(contents.rounds[0].observations[0].config.values(),
-            ds.configs()[5].values());
-  EXPECT_EQ(contents.rounds[0].observations[0].y, 17.5);
-  EXPECT_EQ(contents.rounds[0].observations[0].status,
-            tabular::EvalStatus::kOk);
-  EXPECT_TRUE(std::isnan(contents.rounds[0].observations[1].y));
-  EXPECT_EQ(contents.rounds[0].observations[1].status,
-            tabular::EvalStatus::kInvalid);
+  // One round: an ask of two tokens, then both observed in order.
+  ASSERT_EQ(contents.events.size(), 3u);
+  const JournalEvent& ask = contents.events[0];
+  EXPECT_EQ(ask.kind, JournalEvent::Kind::kAsk);
+  EXPECT_EQ(ask.requested, 3u);
+  EXPECT_EQ(ask.first_token, 1u);
+  EXPECT_EQ(ask.actual, 2u);
+  const Observation& first = contents.events[1].observation;
+  const Observation& second = contents.events[2].observation;
+  EXPECT_EQ(contents.events[1].token, 1u);
+  EXPECT_EQ(contents.events[2].token, 2u);
+  EXPECT_EQ(first.config.values(), ds.configs()[5].values());
+  EXPECT_EQ(first.y, 17.5);
+  EXPECT_EQ(first.status, tabular::EvalStatus::kOk);
+  EXPECT_TRUE(std::isnan(second.y));
+  EXPECT_EQ(second.status, tabular::EvalStatus::kInvalid);
   EXPECT_TRUE(contents.finalized);
   EXPECT_EQ(contents.finish_reason, "stagnation");
   // The end marker sits beyond the resumable prefix.
@@ -168,19 +175,19 @@ TEST(JournalRoundTrip, ExtremeDoubleBitsRoundTripExactly) {
       -std::numeric_limits<double>::infinity(), 1e308, -1.0 / 3.0};
   {
     JournalWriter writer = JournalWriter::create(path, header);
-    for (const double v : values) {
-      writer.begin_round(1, 1);
-      writer.append_observation({ds.configs()[0], v,
-                                 tabular::EvalStatus::kOk});
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      writer.begin(1, i + 1, std::span(&ds.configs()[0], 1));
+      writer.record(i + 1, {ds.configs()[0], values[i],
+                            tabular::EvalStatus::kOk});
     }
   }
   const JournalContents contents = core::read_journal(path);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(contents.header.target_value),
             std::bit_cast<std::uint64_t>(header.target_value));
-  ASSERT_EQ(contents.rounds.size(), values.size());
+  ASSERT_EQ(contents.events.size(), 2 * values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(contents.rounds[i].observations[0].y),
+        std::bit_cast<std::uint64_t>(contents.events[2 * i + 1].observation.y),
         std::bit_cast<std::uint64_t>(values[i]))
         << "value " << values[i] << " did not round-trip";
   }
@@ -227,7 +234,7 @@ core::StoppedTuneResult resume_from(tabular::TabularObjective& ds,
   const JournalContents contents = core::read_journal(path);
   auto tuner = eval::make_named_tuner(method, ds, kSeed);
   const std::vector<Observation> replayed =
-      core::replay_journal(*tuner, ds.space(), contents);
+      core::replay_journal(*tuner, ds.space(), contents).observations;
   tabular::FaultInjectingObjective faulty(
       ds, {.fail_rate = 0.15, .crash_rate = 0.05, .seed = kSeed});
   JournalWriter writer = JournalWriter::append(path, contents);
@@ -487,12 +494,12 @@ TEST(GracefulShutdown, StopFlagInterruptsBetweenRoundsAndResumes) {
   // The journal is unfinalized (resumable) and holds exactly those rounds.
   const JournalContents contents = core::read_journal(path);
   EXPECT_FALSE(contents.finalized);
-  EXPECT_EQ(contents.num_observations(), 12u);
+  EXPECT_EQ(contents.count(JournalEvent::Kind::kObserve), 12u);
 
   // Resume completes the session bitwise-identically to the reference.
   auto resumed_tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
   const std::vector<Observation> replayed =
-      core::replay_journal(*resumed_tuner, ds.space(), contents);
+      core::replay_journal(*resumed_tuner, ds.space(), contents).observations;
   JournalWriter appender = JournalWriter::append(path, contents);
   const TuningEngine resumed_engine(
       {.batch_size = kBatch, .journal = &appender});
@@ -647,10 +654,18 @@ void expect_valid_salvage(const JournalContents& contents,
   EXPECT_GT(contents.header.num_params, 0u);
   EXPECT_GT(contents.header.batch_size, 0u);
   ASSERT_LE(contents.valid_bytes, mutated.size());
-  for (const core::JournalRound& round : contents.rounds) {
-    EXPECT_GT(round.observations.size(), 0u);
-    EXPECT_LE(round.observations.size(), round.requested);
-    for (const Observation& o : round.observations) {
+  std::uint64_t next_token = 1;
+  for (const JournalEvent& e : contents.events) {
+    if (e.kind == JournalEvent::Kind::kAsk) {
+      EXPECT_GT(e.actual, 0u);
+      EXPECT_LE(e.actual, e.requested);
+      EXPECT_EQ(e.first_token, next_token);
+      next_token = e.first_token + e.actual;
+      continue;
+    }
+    EXPECT_LT(e.token, next_token);
+    if (e.kind == JournalEvent::Kind::kObserve) {
+      const Observation& o = e.observation;
       EXPECT_EQ(o.config.size(), contents.header.num_params);
       if (o.ok()) {
         EXPECT_FALSE(std::isnan(o.y))
@@ -666,31 +681,29 @@ void expect_valid_salvage(const JournalContents& contents,
   const JournalContents again = core::read_journal(path);
   EXPECT_EQ(again.header.method, contents.header.method);
   EXPECT_EQ(again.header.num_params, contents.header.num_params);
-  ASSERT_EQ(again.rounds.size(), contents.rounds.size());
-  for (std::size_t r = 0; r < again.rounds.size(); ++r) {
-    ASSERT_EQ(again.rounds[r].observations.size(),
-              contents.rounds[r].observations.size());
-    for (std::size_t i = 0; i < again.rounds[r].observations.size(); ++i) {
-      const Observation& a = again.rounds[r].observations[i];
-      const Observation& b = contents.rounds[r].observations[i];
-      EXPECT_EQ(a.config.values(), b.config.values());
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.y),
-                std::bit_cast<std::uint64_t>(b.y));
-      EXPECT_EQ(a.status, b.status);
-    }
+  ASSERT_EQ(again.events.size(), contents.events.size());
+  for (std::size_t i = 0; i < again.events.size(); ++i) {
+    EXPECT_EQ(again.events[i].kind, contents.events[i].kind);
+    EXPECT_EQ(again.events[i].token, contents.events[i].token);
+    const Observation& a = again.events[i].observation;
+    const Observation& b = contents.events[i].observation;
+    EXPECT_EQ(a.config.values(), b.config.values());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.y),
+              std::bit_cast<std::uint64_t>(b.y));
+    EXPECT_EQ(a.status, b.status);
   }
   EXPECT_EQ(again.valid_bytes, contents.valid_bytes);
   // And the salvaged prefix accepts a continued session.
   {
     JournalWriter writer = JournalWriter::append(path, again);
-    writer.begin_round(1, 1);
-    writer.append_observation(
-        {space::Configuration(std::vector<double>(
-             contents.header.num_params, 0.0)),
-         1.0, tabular::EvalStatus::kOk});
+    const space::Configuration config(
+        std::vector<double>(contents.header.num_params, 0.0));
+    writer.begin(1, next_token, std::span(&config, 1));
+    writer.record(next_token, {config, 1.0, tabular::EvalStatus::kOk});
   }
   const JournalContents extended = core::read_journal(path);
-  EXPECT_EQ(extended.rounds.size(), contents.rounds.size() + 1);
+  EXPECT_EQ(extended.count(JournalEvent::Kind::kAsk),
+            contents.count(JournalEvent::Kind::kAsk) + 1);
 }
 
 TEST(JournalFuzz, RandomByteMutationsNeverCrashOrAcceptCorruptRecords) {
@@ -741,15 +754,33 @@ TEST(JournalFuzz, RandomByteMutationsNeverCrashOrAcceptCorruptRecords) {
   std::remove(path.c_str());
 }
 
+// With an even parameter count, an ask line's announced count times the
+// parameter count can wrap around 2^64 onto the number of values actually
+// on the line; the reader must treat such a forged count as a torn tail,
+// not size a vector by it.
+TEST(JournalFuzz, ForgedAskCountCannotWrapTheLengthCheck) {
+  const std::string path = temp_path("forged_ask.hpbj");
+  spill(path,
+        "hpbj v1\nmeta method random\nmeta dataset forged\nmeta mode async\n"
+        "meta batch 1\nmeta params 2\n"
+        "ask 1 1 1 3ff0000000000000 4000000000000000\n"
+        "ask 9223372036854775809 2 9223372036854775809 "
+        "3ff0000000000000 4000000000000000\n");
+  const JournalContents contents = core::read_journal(path);
+  ASSERT_EQ(contents.events.size(), 1u);
+  EXPECT_EQ(contents.events[0].actual, 1u);
+  EXPECT_EQ(contents.valid_bytes, slurp(path).find("ask 9223"));
+  std::remove(path.c_str());
+}
+
 TEST(JournalFuzz, OkRecordWithNaNObjectiveIsATornTail) {
   auto ds = testutil::separable_dataset();
   const std::string path = temp_path("nonfinite.hpbj");
   {
     JournalWriter writer =
         JournalWriter::create(path, make_header(ds, "random", 1, 4));
-    writer.begin_round(1, 1);
-    writer.append_observation({ds.configs()[0], 2.0,
-                               tabular::EvalStatus::kOk});
+    writer.begin(1, 1, std::span(&ds.configs()[0], 1));
+    writer.record(1, {ds.configs()[0], 2.0, tabular::EvalStatus::kOk});
   }
   std::string bytes = slurp(path);
   // Forge a second round whose ok record carries NaN bits.
@@ -761,8 +792,8 @@ TEST(JournalFuzz, OkRecordWithNaNObjectiveIsATornTail) {
   forged << '\n';
   spill(path, bytes + forged.str());
   const JournalContents contents = core::read_journal(path);
-  EXPECT_EQ(contents.rounds.size(), 1u) << "NaN-valued ok record was "
-                                           "accepted instead of dropped";
+  EXPECT_EQ(contents.count(JournalEvent::Kind::kAsk), 1u)
+      << "NaN-valued ok record was accepted instead of dropped";
   EXPECT_EQ(contents.valid_bytes, bytes.size());
   std::remove(path.c_str());
 }

@@ -88,19 +88,20 @@ SessionSpec spec_named(const std::string& name, std::size_t batch = 2,
 }
 
 /// Run one full suggest→observe round and return the suggested configs.
-std::vector<space::Configuration> run_round(SessionManager& manager,
-                                            const std::string& name) {
-  std::vector<space::Configuration> configs = manager.suggest(name, 0);
+std::vector<core::Suggestion> run_round(SessionManager& manager,
+                                        const std::string& name) {
+  std::vector<core::Suggestion> suggestions =
+      manager.suggest(name, 0).suggestions;
   std::vector<Observation> observations;
-  observations.reserve(configs.size());
-  for (const space::Configuration& c : configs) {
+  observations.reserve(suggestions.size());
+  for (const core::Suggestion& s : suggestions) {
     Observation o;
-    o.config = c;
-    o.y = testutil::separable_value(c);
+    o.config = s.config;
+    o.y = testutil::separable_value(s.config);
     observations.push_back(std::move(o));
   }
-  manager.observe(name, std::move(observations));
-  return configs;
+  manager.observe(name, observations);
+  return suggestions;
 }
 
 // --------------------------------------------------- cold-start recovery
@@ -126,14 +127,14 @@ TEST(Recovery, StartupScanAdoptsResumableAndRecordsFinished) {
   EXPECT_TRUE(report.quarantined.empty());
   EXPECT_EQ(restarted.health().adopted, 2u);
   // Adoption is lazy: nothing resident until a verb touches a name.
-  EXPECT_EQ(restarted.resident_count(), 0u);
+  EXPECT_EQ(restarted.health().resident, 0u);
   EXPECT_EQ(restarted.status("alpha").evaluations, 2u);
-  EXPECT_EQ(restarted.resident_count(), 1u);
+  EXPECT_EQ(restarted.health().resident, 1u);
 }
 
 TEST(Recovery, AdoptedSessionContinuesBitwise) {
   const std::string dir = fresh_dir("bitwise");
-  std::vector<space::Configuration> expected;
+  std::vector<core::Suggestion> expected;
   {
     SessionManager manager(test_factory(), {.journal_dir = dir});
     manager.create(spec_named("ref"));
@@ -142,16 +143,16 @@ TEST(Recovery, AdoptedSessionContinuesBitwise) {
     // Open a round and crash with it unobserved: the journal holds a
     // `round` record with no observations, exactly the torn state a
     // SIGKILL mid-round leaves.
-    expected = manager.suggest("ref", 0);
+    expected = manager.suggest("ref", 0).suggestions;
   }
   SessionManager restarted(test_factory(), {.journal_dir = dir});
   ASSERT_EQ(restarted.recovery().adopted.size(), 1u);
   // The incomplete round is dropped on replay and re-minted identically.
-  const std::vector<space::Configuration> resumed =
-      restarted.suggest("ref", 0);
+  const std::vector<core::Suggestion> resumed =
+      restarted.suggest("ref", 0).suggestions;
   ASSERT_EQ(resumed.size(), expected.size());
   for (std::size_t i = 0; i < resumed.size(); ++i) {
-    EXPECT_EQ(resumed[i].values(), expected[i].values())
+    EXPECT_EQ(resumed[i].config.values(), expected[i].config.values())
         << "resumed suggest diverges at config " << i;
   }
 }
@@ -182,8 +183,9 @@ TEST(Recovery, CorruptJournalQuarantinedAtStartup) {
 
 TEST(Recovery, CorruptJournalQuarantinedAtResumeTime) {
   const std::string dir = fresh_dir("quarantine_resume");
-  SessionManager manager(test_factory(),
-                         {.journal_dir = dir, .recover_on_start = false});
+  // The journal goes bad after the startup scan ran over an empty
+  // directory, so only the resume path can catch it.
+  SessionManager manager(test_factory(), {.journal_dir = dir});
   {
     std::ofstream bad(dir + "/torn.hpbj", std::ios::binary);
     bad << "garbage header\n";
@@ -288,7 +290,7 @@ TEST(FaultInjection, JournalFaultDegradesOnlyThatSession) {
   EXPECT_TRUE(status.degraded);
   EXPECT_FALSE(status.degraded_reason.empty());
   EXPECT_THROW((void)manager.suggest("sick", 0), Error);
-  EXPECT_EQ(manager.degraded_count(), 1u);
+  EXPECT_EQ(manager.health().degraded, 1u);
   EXPECT_EQ(manager.health().degraded, 1u);
 
   // Degraded sessions are pinned resident — eviction would mask the fault
@@ -429,6 +431,72 @@ TEST(RidReplay, ErrorResponsesAreNotCached) {
       "\"results\":[{\"config\":" + config + ",\"y\":2.0,\"status\":\"ok\"}]}"));
 }
 
+// A rid names one request: a different request reusing it is a client bug
+// that must be refused, not answered with the other request's recorded
+// response (which silently dropped the new request).
+TEST(RidReplay, RidReusedAcrossVerbsIsRejectedNotReplayed) {
+  const std::string dir = fresh_dir("rid_reuse_verbs");
+  SessionManager manager(wire_factory(), {.journal_dir = dir});
+  service::WireService wire(manager);
+  ok_json(wire.handle_line(create_line("s", 1, /*async=*/false)));
+  const std::string suggest_line =
+      "{\"verb\":\"suggest\",\"session\":\"s\",\"rid\":\"1\"}";
+  const std::string suggested = wire.handle_line(suggest_line);
+  const service::JsonValue suggest = ok_json(suggested);
+  std::string config = "[";
+  const auto& values = suggest.find("configs")->as_array()[0].as_array();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    config += (i > 0 ? "," : "") + obs::json_double(values[i].as_number());
+  }
+  config += ']';
+  const std::string observe_tail =
+      "\"results\":[{\"config\":" + config + ",\"y\":1.5}]}";
+  const std::string reused = wire.handle_line(
+      "{\"verb\":\"observe\",\"session\":\"s\",\"rid\":\"1\"," +
+      observe_tail);
+  EXPECT_EQ(code_of(reused), "bad_request") << reused;
+  EXPECT_NE(reused.find("'rid' \\\"1\\\""), std::string::npos) << reused;
+  // Nothing executed: the round is still open and unobserved.
+  service::JsonValue status =
+      ok_json(wire.handle_line("{\"verb\":\"status\",\"session\":\"s\"}"));
+  EXPECT_EQ(status.find("status")->find("evaluations")->as_number(), 0.0);
+  EXPECT_EQ(status.find("status")->find("pending")->as_number(), 1.0);
+  // The byte-identical retry still replays, and the observe goes through
+  // under a fresh rid.
+  EXPECT_EQ(wire.handle_line(suggest_line), suggested);
+  ok_json(wire.handle_line(
+      "{\"verb\":\"observe\",\"session\":\"s\",\"rid\":\"2\"," +
+      observe_tail));
+  status = ok_json(wire.handle_line("{\"verb\":\"status\",\"session\":\"s\"}"));
+  EXPECT_EQ(status.find("status")->find("evaluations")->as_number(), 1.0);
+}
+
+TEST(RidReplay, RidReusedForADifferentObserveIsRejected) {
+  const std::string dir = fresh_dir("rid_reuse_observe");
+  SessionManager manager(wire_factory(), {.journal_dir = dir});
+  service::WireService wire(manager);
+  ok_json(wire.handle_line(create_line("s", 2, /*async=*/true)));
+  const service::JsonValue suggest =
+      ok_json(wire.handle_line("{\"verb\":\"suggest\",\"session\":\"s\"}"));
+  const auto& tokens = suggest.find("tokens")->as_array();
+  const auto observe = [&](std::size_t i, const char* y) {
+    return "{\"verb\":\"observe\",\"session\":\"s\",\"rid\":\"o\","
+           "\"results\":[{\"token\":" +
+           std::to_string(static_cast<std::uint64_t>(tokens[i].as_number())) +
+           ",\"y\":" + y + "}]}";
+  };
+  const std::string first = wire.handle_line(observe(0, "2.5"));
+  ok_json(first);
+  EXPECT_EQ(code_of(wire.handle_line(observe(1, "3.5"))), "bad_request");
+  // Same token, different value: still a different request.
+  EXPECT_EQ(code_of(wire.handle_line(observe(0, "9.5"))), "bad_request");
+  EXPECT_EQ(wire.handle_line(observe(0, "2.5")), first);
+  const service::JsonValue status =
+      ok_json(wire.handle_line("{\"verb\":\"status\",\"session\":\"s\"}"));
+  EXPECT_EQ(status.find("status")->find("evaluations")->as_number(), 1.0);
+  EXPECT_EQ(status.find("status")->find("pending")->as_number(), 1.0);
+}
+
 TEST(RidReplay, RidSchemaIsStrict) {
   const std::string dir = fresh_dir("rid_schema");
   SessionManager manager(wire_factory(), {.journal_dir = dir});
@@ -455,15 +523,15 @@ TEST(Overload, AsyncPendingCapShedsSuggest) {
   SessionSpec spec = spec_named("s");
   spec.mode = core::SessionMode::kAsync;
   manager.create(spec);
-  EXPECT_EQ(manager.suggest_async("s", 3).size(), 3u);
-  EXPECT_THROW((void)manager.suggest_async("s", 1), OverloadError);
+  EXPECT_EQ(manager.suggest("s", 3).suggestions.size(), 3u);
+  EXPECT_THROW((void)manager.suggest("s", 1), OverloadError);
   // The shed is stateless: observing one token frees one slot.
   const SessionStatus status = manager.status("s");
-  core::AsyncResult result;
+  core::TokenResult result;
   result.token = status.pending_tokens[0];
   result.y = 2.0;
-  manager.observe_async("s", std::span<const core::AsyncResult>(&result, 1));
-  EXPECT_EQ(manager.suggest_async("s", 1).size(), 1u);
+  manager.observe("s", std::span<const core::TokenResult>(&result, 1));
+  EXPECT_EQ(manager.suggest("s", 1).suggestions.size(), 1u);
 }
 
 TEST(Overload, PendingCapSurfacesAsOverloadedOnTheWire) {

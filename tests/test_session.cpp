@@ -172,15 +172,15 @@ TEST(SessionSplit, ManualSessionLoopMatchesEngineRunBitwise) {
     session.reserve(kBudget);
     while (session.evaluations() < kBudget) {
       const std::size_t k = std::min(kBatch, kBudget - session.evaluations());
-      std::vector<space::Configuration> batch = session.suggest(k);
+      std::vector<core::Suggestion> batch = session.suggest(k);
       std::vector<EvalMeter> meters(batch.size());
       std::vector<Observation> observations;
       observations.reserve(batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
         meters[i].start_ns = recorder.now_ns();
-        const tabular::EvalResult r = ds.evaluate_result(batch[i]);
+        const tabular::EvalResult r = ds.evaluate_result(batch[i].config);
         meters[i].end_ns = recorder.now_ns();
-        observations.push_back({std::move(batch[i]), r.value, r.status});
+        observations.push_back({std::move(batch[i].config), r.value, r.status});
       }
       session.observe(std::move(observations), meters);
     }
@@ -210,11 +210,12 @@ Session make_plain_session(std::unique_ptr<core::Tuner>& keep,
 }
 
 std::vector<Observation> evaluate_all(
-    const std::vector<space::Configuration>& batch) {
+    const std::vector<core::Suggestion>& batch) {
   std::vector<Observation> out;
   out.reserve(batch.size());
-  for (const auto& c : batch) {
-    out.push_back({c, testutil::separable_value(c), EvalStatus::kOk});
+  for (const auto& s : batch) {
+    out.push_back(
+        {s.config, testutil::separable_value(s.config), EvalStatus::kOk});
   }
   return out;
 }
@@ -273,9 +274,33 @@ TEST(SessionErrors, ObserveForeignConfigurationThrows) {
   ASSERT_EQ(batch.size(), 1u);
   // Any configuration other than the suggested one is foreign.
   const auto& foreign =
-      ds.configs()[batch[0].values() == ds.configs()[0].values() ? 1 : 0];
+      ds.configs()[batch[0].config.values() == ds.configs()[0].values() ? 1
+                                                                       : 0];
   EXPECT_THROW(
       session.observe({{foreign, 1.0, EvalStatus::kOk}}), hpb::Error);
+}
+
+// The barrier checks every member, not just the first: a round whose
+// later member is foreign is refused whole, and nothing is applied.
+TEST(SessionErrors, ForeignLaterMemberThrowsWithoutMutation) {
+  std::unique_ptr<core::Tuner> tuner;
+  Session session = make_plain_session(tuner);
+  auto ds = testutil::separable_dataset();
+  auto batch = session.suggest(2);
+  ASSERT_EQ(batch.size(), 2u);
+  std::vector<Observation> round = evaluate_all(batch);
+  for (const auto& c : ds.configs()) {
+    if (c.values() != batch[0].config.values() &&
+        c.values() != batch[1].config.values()) {
+      round[1].config = c;
+      break;
+    }
+  }
+  EXPECT_THROW(session.observe(round), hpb::Error);
+  EXPECT_EQ(session.evaluations(), 0u);
+  EXPECT_EQ(session.status().pending, 2u);
+  session.observe(evaluate_all(batch));
+  EXPECT_EQ(session.evaluations(), 2u);
 }
 
 TEST(SessionErrors, CloseWithRoundInFlightThrows) {
@@ -295,7 +320,7 @@ TEST(SessionErrors, VerbsAfterFinishThrow) {
   session.finish(StopReason::kBudgetExhausted);
   EXPECT_TRUE(session.status().finished);
   EXPECT_THROW((void)session.suggest(1), hpb::Error);
-  EXPECT_THROW(session.observe({}), hpb::Error);
+  EXPECT_THROW(session.observe(std::vector<Observation>{}), hpb::Error);
   EXPECT_THROW(session.close(), hpb::Error);
 }
 
@@ -348,10 +373,10 @@ TEST(SessionManagerLifecycle, CreateSuggestObserveStatusClose) {
   SessionManager manager(test_factory(),
                          {.journal_dir = fresh_dir("mgr_lifecycle")});
   manager.create(spec_named("run1", "random"));
-  EXPECT_EQ(manager.resident_count(), 1u);
-  EXPECT_EQ(manager.created_count(), 1u);
+  EXPECT_EQ(manager.health().resident, 1u);
+  EXPECT_EQ(manager.health().created, 1u);
 
-  auto batch = manager.suggest("run1", 2);
+  auto batch = manager.suggest("run1", 2).suggestions;
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(manager.status("run1").pending, 2u);
 
@@ -362,8 +387,8 @@ TEST(SessionManagerLifecycle, CreateSuggestObserveStatusClose) {
   EXPECT_FALSE(st.best_config.empty());
 
   manager.close("run1");
-  EXPECT_EQ(manager.resident_count(), 0u);
-  EXPECT_EQ(manager.closed_count(), 1u);
+  EXPECT_EQ(manager.health().resident, 0u);
+  EXPECT_EQ(manager.health().closed, 1u);
   // The finalized journal still names the session: verbs and re-creation
   // both report it closed / taken.
   EXPECT_THROW((void)manager.status("run1"), hpb::Error);
@@ -390,22 +415,23 @@ TEST(SessionManagerLifecycle, EvictRefusesInFlightRounds) {
   SessionManager manager(test_factory(),
                          {.journal_dir = fresh_dir("mgr_inflight")});
   manager.create(spec_named("busy", "random"));
-  auto batch = manager.suggest("busy", 2);
+  auto batch = manager.suggest("busy", 2).suggestions;
   // An unobserved round pins the session hot: evicting would orphan it.
   EXPECT_FALSE(manager.evict("busy"));
   (void)manager.observe("busy", evaluate_all(batch));
   EXPECT_TRUE(manager.evict("busy"));
-  EXPECT_EQ(manager.resident_count(), 0u);
+  EXPECT_EQ(manager.health().resident, 0u);
   // Resume-on-touch brings it back with its history intact.
   EXPECT_EQ(manager.status("busy").evaluations, 2u);
-  EXPECT_EQ(manager.resumed_count(), 1u);
+  EXPECT_EQ(manager.health().resumed, 1u);
 }
 
 TEST(SessionManagerLifecycle, JournallessManagerNeverEvicts) {
   SessionManager manager(test_factory(), {});
   manager.create(spec_named("mem", "random"));
   EXPECT_TRUE(manager.journal_path("mem").empty());
-  (void)manager.observe("mem", evaluate_all(manager.suggest("mem", 2)));
+  (void)manager.observe("mem",
+                        evaluate_all(manager.suggest("mem", 2).suggestions));
   EXPECT_FALSE(manager.evict("mem"));  // nothing on disk to resume from
   manager.close("mem");
   // Without a journal, a closed name is forgotten and can be re-created.
@@ -420,14 +446,15 @@ TEST(SessionManagerLifecycle, LruEvictionKeepsResidencyBounded) {
   for (int i = 0; i < 5; ++i) {
     const std::string name = "lru" + std::to_string(i);
     manager.create(spec_named(name, "random"));
-    (void)manager.observe(name, evaluate_all(manager.suggest(name, 1)));
+    (void)manager.observe(name,
+                          evaluate_all(manager.suggest(name, 1).suggestions));
   }
-  EXPECT_LE(manager.resident_count(), 2u);
-  EXPECT_GE(manager.evicted_count(), 3u);
+  EXPECT_LE(manager.health().resident, 2u);
+  EXPECT_GE(manager.health().evicted, 3u);
   // Touching the oldest (coldest) session resumes it transparently.
   EXPECT_EQ(manager.status("lru0").evaluations, 1u);
-  EXPECT_GE(manager.resumed_count(), 1u);
-  EXPECT_LE(manager.resident_count(), 2u);
+  EXPECT_GE(manager.health().resumed, 1u);
+  EXPECT_LE(manager.health().resident, 2u);
 }
 
 TEST(SessionManagerLifecycle, PerSessionMetricsAreScoped) {
@@ -436,11 +463,11 @@ TEST(SessionManagerLifecycle, PerSessionMetricsAreScoped) {
   manager.create(spec_named("two-rounds", "random"));
   manager.create(spec_named("one-round", "random"));
   for (int round = 0; round < 2; ++round) {
-    (void)manager.observe("two-rounds",
-                          evaluate_all(manager.suggest("two-rounds", 2)));
+    const auto batch = manager.suggest("two-rounds", 2).suggestions;
+    (void)manager.observe("two-rounds", evaluate_all(batch));
   }
-  (void)manager.observe("one-round",
-                        evaluate_all(manager.suggest("one-round", 2)));
+  (void)manager.observe(
+      "one-round", evaluate_all(manager.suggest("one-round", 2).suggestions));
   const std::string two = manager.session_metrics_json("two-rounds");
   const std::string one = manager.session_metrics_json("one-round");
   EXPECT_NE(two.find("engine.evaluations"), std::string::npos);
@@ -471,9 +498,9 @@ DrivenRun drive_managed(const std::string& method,
   manager.create(spec);
   DrivenRun run;
   for (std::size_t round = 0; round < kRounds; ++round) {
-    auto batch = manager.suggest("equiv", kBatch);
+    auto batch = manager.suggest("equiv", kBatch).suggestions;
     std::vector<Observation> observations;
-    for (auto& c : batch) {
+    for (auto& [token, c] : batch) {
       run.suggested.push_back(c.values());
       // A sprinkling of client-side failures exercises the NaN replay path.
       if (run.suggested.size() % 5 == 0) {
@@ -491,8 +518,8 @@ DrivenRun drive_managed(const std::string& method,
       EXPECT_TRUE(manager.evict("equiv")) << method << " round " << round;
     }
   }
-  EXPECT_EQ(manager.evicted_count(), evict_after.size());
-  EXPECT_EQ(manager.resumed_count(), evict_after.size());
+  EXPECT_EQ(manager.health().evicted, evict_after.size());
+  EXPECT_EQ(manager.health().resumed, evict_after.size());
   return run;
 }
 

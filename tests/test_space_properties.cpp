@@ -343,16 +343,17 @@ TEST(SentinelRoundTrip, JournalAppendReplayIsExactOnSystolicConfigs) {
     for (int t = 0; t < 20; ++t) {
       const Configuration c = tuner.suggest();
       const double y = ds.value_of(c);
-      writer.begin_round(1, 1);
-      writer.append_observation({c, y, tabular::EvalStatus::kOk});
+      const std::uint64_t token = static_cast<std::uint64_t>(t) + 1;
+      writer.begin(1, token, std::span(&c, 1));
+      writer.record(token, {c, y, tabular::EvalStatus::kOk});
       tuner.observe(c, y);
     }
   }
   const core::JournalContents contents = core::read_journal(path);
-  ASSERT_EQ(contents.num_observations(), 20u);
+  ASSERT_EQ(contents.count(core::JournalEvent::Kind::kObserve), 20u);
   core::HiPerBOt replayed(ds.space_ptr(), {}, header.seed);
   const auto observations =
-      core::replay_journal(replayed, ds.space(), contents);
+      core::replay_journal(replayed, ds.space(), contents).observations;
   ASSERT_EQ(observations.size(), 20u);
   bool sentinel_seen = false;
   for (const auto& obs : observations) {
@@ -407,7 +408,8 @@ TEST(SentinelRoundTrip, EngineResumeOnSystolicSessionIsBitwiseIdentical) {
       continue;
     }
     auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
-    const auto replayed = core::replay_journal(*tuner, ds.space(), prefix);
+    const auto replayed =
+        core::replay_journal(*tuner, ds.space(), prefix).observations;
     core::JournalWriter writer = core::JournalWriter::append(cut_path, prefix);
     const core::TuningEngine engine({.batch_size = 4, .journal = &writer});
     const auto resumed = engine.run_until(*tuner, ds, stop, replayed);

@@ -9,6 +9,9 @@
 //     failed request never half-applies;
 //   - out-of-order observes and double closes are session_errors after
 //     which the session remains usable / stays closed;
+//   - seeded mutants (byte flips, inserts, deletes, torn tails, duplicate
+//     key splices) of valid requests for every verb never crash the
+//     parser or the router, and a rejected mutant changes no state;
 //   - the LineServer round-trips requests over real Unix-domain and TCP
 //     sockets, keeps a connection alive across malformed requests, caps
 //     line length, serves concurrent clients (TSan exercises the striped
@@ -193,7 +196,7 @@ TEST_F(WireTest, SchemaViolationsAreBadRequests) {
                                 "\"results\":{}}")),
             "bad_request");
   // None of the rejected requests created state.
-  EXPECT_EQ(manager_.created_count(), 0u);
+  EXPECT_EQ(manager_.health().created, 0u);
 }
 
 TEST_F(WireTest, UnknownVerbHasItsOwnCode) {
@@ -265,7 +268,7 @@ TEST_F(WireTest, FullSessionLifecycleOverTheWire) {
   }
 
   ASSERT_TRUE(ok(reply(service_, "{\"verb\":\"close\",\"session\":\"s1\"}")));
-  EXPECT_EQ(manager_.closed_count(), 1u);
+  EXPECT_EQ(manager_.health().closed, 1u);
 }
 
 TEST_F(WireTest, FailedResultsCarryNoValue) {
@@ -664,7 +667,7 @@ TEST(LineServerTest, UnixSocketRoundTrip) {
     drive_session_via(client, "u2");
   }
   stack.server.stop();
-  EXPECT_EQ(stack.manager.closed_count(), 2u);
+  EXPECT_EQ(stack.manager.health().closed, 2u);
   EXPECT_EQ(stack.server.connections_accepted(), 1u);
 }
 
@@ -677,7 +680,7 @@ TEST(LineServerTest, TcpSocketRoundTrip) {
     drive_session_via(client, "t1");
   }
   stack.server.stop();
-  EXPECT_EQ(stack.manager.closed_count(), 1u);
+  EXPECT_EQ(stack.manager.health().closed, 1u);
 }
 
 TEST(LineServerTest, OverlongLinesAreRejectedAndDropped) {
@@ -734,7 +737,7 @@ TEST(LineServerTest, OversizedLineWithNewlineInSameChunkIsRejected) {
       << "the cap error must state the configured limit";
   EXPECT_EQ(client.read_line(), "");  // connection closed after the error
   stack.server.stop();
-  EXPECT_EQ(stack.manager.created_count(), 0u)
+  EXPECT_EQ(stack.manager.health().created, 0u)
       << "no request after the cap violation may reach the handler";
 }
 
@@ -758,9 +761,9 @@ TEST(LineServerTest, ConcurrentClientsShareOneManager) {
     t.join();
   }
   stack.server.stop();
-  EXPECT_EQ(stack.manager.created_count(),
+  EXPECT_EQ(stack.manager.health().created,
             static_cast<std::uint64_t>(kClients * kSessionsEach));
-  EXPECT_EQ(stack.manager.closed_count(),
+  EXPECT_EQ(stack.manager.health().closed,
             static_cast<std::uint64_t>(kClients * kSessionsEach));
   EXPECT_EQ(stack.server.connections_accepted(),
             static_cast<std::uint64_t>(kClients));
@@ -799,7 +802,7 @@ TEST(LineServerTest, ClientDisconnectMidResponseDoesNotKillTheServer) {
   LineClient after = LineClient::connect_unix(socket_path);
   drive_session_via(after, "after_epipe");
   stack.server.stop();  // joins the torn connection's thread cleanly
-  EXPECT_EQ(stack.manager.closed_count(), 1u);
+  EXPECT_EQ(stack.manager.health().closed, 1u);
 }
 
 TEST(LineServerTest, ExternalStopFlagEndsServe) {
@@ -812,7 +815,136 @@ TEST(LineServerTest, ExternalStopFlagEndsServe) {
   }
   stop.store(true);
   server_thread.join();  // serve() returns once the flag is seen
-  EXPECT_EQ(stack.manager.closed_count(), 1u);
+  EXPECT_EQ(stack.manager.health().closed, 1u);
+}
+
+// ------------------------------------------------------------------ fuzz
+
+/// One seeded mutation of `line`: flip, insert or delete a byte, tear the
+/// tail, or splice a copy of one `"key":value` member in after the opening
+/// brace (a duplicate key, or a torn member when the value holds commas).
+std::string mutate(const std::string& line, Rng& rng) {
+  std::string out = line;
+  const std::size_t at = rng.index(out.size());
+  switch (rng.index(5)) {
+    case 0:
+      out[at] = static_cast<char>(rng.next_u64() & 0xff);
+      break;
+    case 1:
+      out.insert(at, 1, static_cast<char>(rng.next_u64() & 0xff));
+      break;
+    case 2:
+      out.erase(at, 1);
+      break;
+    case 3:
+      out.resize(at);
+      break;
+    default: {
+      std::vector<std::size_t> keys;
+      for (std::size_t i = 1; i < out.size(); ++i) {
+        if (out[i] == '"' && (out[i - 1] == '{' || out[i - 1] == ',')) {
+          keys.push_back(i);
+        }
+      }
+      if (keys.empty()) {
+        break;
+      }
+      const std::size_t begin = keys[rng.index(keys.size())];
+      const std::size_t end = out.find_first_of(",}", out.find(':', begin));
+      if (end != std::string::npos) {
+        out.insert(1, out.substr(begin, end - begin) + ",");
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+std::string config_of(const JsonValue& config) {
+  std::string out = "[";
+  for (const JsonValue& v : config.as_array()) {
+    out += (out.size() > 1 ? "," : "") + obs::json_double(v.as_number());
+  }
+  return out + "]";
+}
+
+// Seeded mutants of a valid request line for every verb in both modes go
+// to the JSON parser and to handle_line on a live manager: the parser only
+// ever throws its own parse error, handle_line never throws and answers one
+// JSON object with a boolean `ok`, and a rejected request leaves every
+// session's status (and the manager's health) byte-identical.
+TEST(WireFuzz, MutatedRequestsNeverCrashOrHalfApply) {
+  const std::string dir = fresh_dir("fuzz");
+  SessionManager manager(test_factory(),
+                         {.journal_dir = dir, .max_pending_per_session = 8});
+  WireService wire(manager);
+  const std::string create =
+      R"({"verb":"create","dataset":"separable","method":"random",)"
+      R"("batch_size":2,"max_evaluations":50,"session":)";
+  ASSERT_TRUE(ok(reply(wire, create + R"("fs"})")));
+  ASSERT_TRUE(ok(reply(wire, create + R"("fa","mode":"async"})")));
+  ASSERT_TRUE(ok(reply(wire, create + R"("fc"})")));
+  const JsonValue round =
+      reply(wire, R"({"verb":"suggest","session":"fs"})");
+  ASSERT_TRUE(ok(round));
+  const auto& configs = round.find("configs")->as_array();
+  ASSERT_EQ(configs.size(), 2u);
+  ASSERT_TRUE(
+      ok(reply(wire, R"({"verb":"suggest","session":"fa","count":3})")));
+
+  const std::vector<std::string> corpus = {
+      create + R"("fz","seed":9,"stagnation_patience":4,"target_value":1.5})",
+      create + R"("fy","mode":"async"})",
+      R"({"verb":"suggest","session":"fs","count":2,"rid":"s-1"})",
+      R"({"verb":"suggest","session":"fa","count":1,"rid":"a-1"})",
+      R"({"verb":"observe","session":"fs","rid":"o-1","results":[{"config":)" +
+          config_of(configs[0]) + R"(,"y":1.5},{"config":)" +
+          config_of(configs[1]) + R"(,"status":"crashed"}]})",
+      R"({"verb":"observe","session":"fa","results":[{"token":2,"y":2.5},)"
+      R"({"token":1,"status":"timeout"}]})",
+      R"({"verb":"cancel","session":"fa","tokens":[3],"rid":"c-1"})",
+      R"({"verb":"cancel","session":"fs"})",
+      R"({"verb":"status","session":"fa"})",
+      R"({"verb":"close","session":"fc"})",
+      R"({"verb":"health"})",
+  };
+  const auto snapshot = [&] {
+    return wire.handle_line(R"({"verb":"status","session":"fs"})") +
+           wire.handle_line(R"({"verb":"status","session":"fa"})") +
+           wire.handle_line(R"({"verb":"health"})");
+  };
+  Rng rng(0xf022e);
+  std::size_t rejected = 0;
+  constexpr int kTrials = 3000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::string mutant = corpus[rng.index(corpus.size())];
+    for (std::size_t e = 1 + rng.index(3); e > 0 && !mutant.empty(); --e) {
+      mutant = mutate(mutant, rng);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + mutant);
+    try {
+      (void)parse_json(mutant);
+    } catch (const JsonParseError&) {
+      // Rejecting the line is always a valid outcome.
+    }
+    const std::string before = snapshot();
+    std::string response;
+    ASSERT_NO_THROW(response = wire.handle_line(mutant));
+    ASSERT_EQ(response.find('\n'), std::string::npos);
+    JsonValue parsed;
+    ASSERT_NO_THROW(parsed = parse_json(response)) << response;
+    ASSERT_TRUE(parsed.is_object()) << response;
+    const JsonValue* flag = parsed.find("ok");
+    ASSERT_TRUE(flag != nullptr && flag->is_bool()) << response;
+    if (!flag->as_bool()) {
+      ++rejected;
+      ASSERT_EQ(snapshot(), before) << "a rejected request changed state";
+    }
+  }
+  // Most mutants must be refused, or the fuzzer is not reaching the
+  // schema and session checks at all.
+  EXPECT_GT(rejected, static_cast<std::size_t>(kTrials) / 2);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -8,7 +8,11 @@
 # async-token / wire-protocol tests (tests/test_session.cpp,
 # tests/test_async.cpp, tests/test_wire.cpp), and the daemon
 # survivability tests (tests/test_recovery.cpp: cold-start recovery,
-# fault-injected disk errors, rid replay, overload shedding, drain), and
+# fault-injected disk errors, rid replay, overload shedding, drain), the
+# model-based service stress test (tests/test_model.cpp: four client
+# threads against in-process oracles across evictions and restarts), the
+# wire mutation fuzz (WireFuzz in tests/test_wire.cpp), the golden
+# journal / transcript parity pins (tests/test_golden.cpp), and
 # the space-layer property tests (tests/test_space_properties.cpp:
 # streamed candidate generation over conditional/constrained spaces,
 # pooled-vs-streamed bitwise parity, sentinel round trips, enumerate
@@ -16,8 +20,9 @@
 # (tests/test_simd.cpp), re-run with HPB_SIMD forced to every tier this
 # machine can execute; then a ThreadSanitizer build running the concurrency-sensitive
 # subset (engine, thread pool, watchdog, shutdown, metrics hot path,
-# session manager, line server, recovery/overload/drain, stream pass
-# thread-count invariance); then a fault-injected
+# session manager, line server, recovery/overload/drain, the session
+# model stress test, stream pass thread-count invariance); then a
+# fault-injected
 # shootout smoke run (HPB_FAIL_RATE=0.2), a CLI crash-resume smoke
 # (journal a run, truncate the journal mid-record, resume, and require
 # the identical history CSV), a tuning-service storm smoke
@@ -49,7 +54,7 @@ cmake -B build-asan -S . -DHPB_SANITIZE=address \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs" --no-tests=error \
-  -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk'
+  -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk|SessionModel|WireFuzz|GoldenParity'
 
 echo
 echo "== ASan, HPB_SIMD forced: dispatch parity under every runnable tier =="
@@ -75,7 +80,7 @@ cmake -B build-tsan -S . -DHPB_SANITIZE=thread \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" --no-tests=error \
-  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk'
+  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|SessionModel'
 
 
 echo

@@ -215,9 +215,11 @@ int cmd_tune(const hpb::cli::ArgParser& args) {
   std::optional<hpb::core::JournalWriter> journal;
   std::vector<hpb::core::Observation> replayed;
   if (resumed) {
-    replayed = hpb::core::replay_journal(*tuner, ds.space(), *resumed);
+    replayed =
+        hpb::core::replay_journal(*tuner, ds.space(), *resumed).observations;
     std::cout << "resume: replayed " << replayed.size()
-              << " journaled observations (" << resumed->rounds.size()
+              << " journaled observations ("
+              << resumed->count(hpb::core::JournalEvent::Kind::kAsk)
               << " rounds) from " << resume_path << '\n';
     journal.emplace(hpb::core::JournalWriter::append(resume_path, *resumed));
   } else if (!journal_path.empty()) {
@@ -451,14 +453,13 @@ int cmd_serve(const hpb::cli::ArgParser& args) {
               << " resident sessions\n";
   }
   server.stop();
+  const hpb::core::ManagerHealth health = manager.health();
   std::cout << "served " << server.connections_accepted()
             << " connections (" << server.connections_shed()
-            << " shed); sessions: " << manager.created_count()
-            << " created, " << manager.resumed_count() << " resumed, "
-            << manager.evicted_count() << " evicted, "
-            << manager.closed_count() << " closed ("
-            << manager.resident_count() << " resident, "
-            << manager.degraded_count() << " degraded at shutdown)\n";
+            << " shed); sessions: " << health.created << " created, "
+            << health.resumed << " resumed, " << health.evicted
+            << " evicted, " << health.closed << " closed (" << health.resident
+            << " resident, " << health.degraded << " degraded at shutdown)\n";
   if (trace_sink) {
     trace_sink->flush();
     std::cout << "trace written to " << trace_sink->path() << '\n';

@@ -18,12 +18,7 @@ TuningEngine::TuningEngine(EngineConfig config) : config_(std::move(config)) {
 }
 
 SessionConfig TuningEngine::session_config(StopConfig stop) const {
-  return {.batch_size = config_.batch_size,
-          .failure = config_.failure,
-          .eval_deadline = config_.eval_deadline,
-          .stop_flag = config_.stop_flag,
-          .recorder = config_.recorder,
-          .stop = stop};
+  return {.recorder = config_.recorder, .stop = stop};
 }
 
 void TuningEngine::drive_round(Session& session, tabular::Objective& objective,

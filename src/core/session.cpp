@@ -11,9 +11,6 @@ namespace hpb::core {
 namespace {
 
 void validate_config(const SessionConfig& config) {
-  HPB_REQUIRE(config.batch_size > 0, "Session: batch_size must be positive");
-  HPB_REQUIRE(config.eval_deadline.count() >= 0,
-              "Session: eval_deadline must be >= 0");
   HPB_REQUIRE(config.stop.min_relative_improvement >= 0.0,
               "Session: min_relative_improvement must be >= 0");
 }
@@ -46,8 +43,8 @@ void Session::require_open(const char* verb) const {
                               ": session is closed");
   // Degraded = the journal can no longer be appended (disk fault), so any
   // further mutation would silently diverge from the durable state. The
-  // session stays readable (status/checkpoint) and resumable after a
-  // restart; only mutations are refused.
+  // session stays readable (status) and resumable after a restart; only
+  // mutations are refused.
   HPB_REQUIRE(!degraded_,
               std::string("Session::") + verb +
                   ": session is degraded (journal append failed: " +
@@ -531,18 +528,6 @@ SessionStatus Session::status() const {
   s.degraded = degraded_;
   s.degraded_reason = degraded_reason_;
   return s;
-}
-
-SessionCheckpoint Session::checkpoint() const {
-  SessionCheckpoint c;
-  c.journaled = journal_ != nullptr;
-  if (journal_ != nullptr) {
-    c.journal_path = journal_->path();
-  }
-  c.rounds = round_index_;
-  c.observations = result_.history.size();
-  c.round_in_flight = round_in_flight();
-  return c;
 }
 
 void Session::finish(StopReason reason) {

@@ -4,10 +4,10 @@
 // tuner, the write-ahead journal, the observability recorder, the
 // outstanding (suggested-but-unobserved) suggestions, the stopping
 // bookkeeping, and the best-so-far trajectory — behind explicit suggest /
-// observe / cancel / status / checkpoint entry points. TuningEngine::run drives a single Session to
-// completion (evaluating the objective itself); SessionManager hosts
-// thousands of named Sessions whose clients evaluate remotely and come and
-// go between verbs.
+// observe / cancel / status entry points. TuningEngine::run drives a single
+// Session to completion (evaluating the objective itself); SessionManager
+// hosts thousands of named Sessions whose clients evaluate remotely and
+// come and go between verbs.
 //
 // The split is exact: Session::suggest performs everything run_round did up
 // to (and including) the journal round marker, Session::observe performs
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -108,21 +107,10 @@ struct TokenResult {
 };
 
 /// Everything a Session carries besides the tuner and the journal. The
-/// evaluation-side knobs (failure, eval_deadline, stop_flag) are stored
-/// here so the session fully describes its run, but they are consumed by
-/// the driver that evaluates the objective — a remote client performs its
-/// own evaluations and simply ignores them.
+/// evaluation-side knobs (batch size, failure policy, deadline, stop flag)
+/// belong to the driver that evaluates the objective (EngineConfig); a
+/// remote client performs its own evaluations.
 struct SessionConfig {
-  /// Configurations suggested per round. 1 reproduces the serial ask/tell
-  /// loop exactly.
-  std::size_t batch_size = 1;
-  /// Retry policy for transient failures (driver-side).
-  FailurePolicy failure;
-  /// Per-evaluation watchdog deadline (driver-side; zero disables).
-  std::chrono::milliseconds eval_deadline{0};
-  /// Graceful-shutdown flag, checked by the driver between rounds. Not
-  /// owned.
-  const std::atomic<bool>* stop_flag = nullptr;
   /// Observability hooks (trace sink / metrics registry / clock), optional
   /// and not owned. The all-null default adds no work to the loop.
   obs::Recorder recorder;
@@ -166,28 +154,11 @@ struct SessionStatus {
   /// finish()/close() was called; every further verb throws.
   bool finished = false;
   /// A journal append failed (disk fault): the session is read-only —
-  /// status/checkpoint still serve, every mutating verb throws. The
-  /// durable journal prefix is still valid; a daemon restart (with the
-  /// disk healthy again) resumes the session from it.
+  /// status still serves, every mutating verb throws. The durable journal
+  /// prefix is still valid; a daemon restart (with the disk healthy again)
+  /// resumes the session from it.
   bool degraded = false;
   std::string degraded_reason;
-};
-
-/// Durability report for eviction decisions: what survives if the
-/// in-memory session is dropped right now.
-struct SessionCheckpoint {
-  /// True when a write-ahead journal backs the session. The journal is
-  /// fsync'd per record, so a journaled session is always durable up to
-  /// its last completed observation — checkpoint() reports, it never has
-  /// to flush.
-  bool journaled = false;
-  std::string journal_path;
-  std::size_t rounds = 0;
-  std::size_t observations = 0;
-  /// An unobserved round is in flight; dropping the session now would
-  /// orphan its suggestions (the journal holds only the round marker,
-  /// which resume discards and re-suggests).
-  bool round_in_flight = false;
 };
 
 class Session {
@@ -251,9 +222,6 @@ class Session {
 
   [[nodiscard]] SessionStatus status() const;
 
-  /// Report what is durable if the in-memory session is dropped now.
-  [[nodiscard]] SessionCheckpoint checkpoint() const;
-
   /// Terminal bookkeeping for a driver-completed run: finalizes the
   /// journal with the stop reason — except kInterrupted, which leaves the
   /// journal resumable (that is what --resume expects to find).
@@ -264,10 +232,6 @@ class Session {
   /// would be orphaned) or the session already finished.
   void close();
 
-  [[nodiscard]] const SessionConfig& config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] const TuneResult& result() const noexcept { return result_; }
   [[nodiscard]] TuneResult take_result() noexcept { return std::move(result_); }
   [[nodiscard]] std::size_t evaluations() const noexcept {
     return result_.history.size();
@@ -283,7 +247,6 @@ class Session {
   /// SessionStatus::degraded).
   [[nodiscard]] bool degraded() const noexcept { return degraded_; }
   [[nodiscard]] bool journaled() const noexcept { return journal_ != nullptr; }
-  [[nodiscard]] Tuner& tuner() noexcept { return *tuner_; }
 
   /// Pre-size the history/best-so-far vectors (drivers know their budget).
   void reserve(std::size_t n);

@@ -1,6 +1,7 @@
 #include "core/session_manager.hpp"
 
 #include <dirent.h>
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -70,22 +71,37 @@ void validate_session_name(const std::string& name) {
   }
 }
 
-/// Pins an acquired entry for the duration of one verb and releases it —
-/// stamping the LRU tick and running capacity eviction — on every exit
-/// path, including a throwing verb.
+/// Pins a live entry and holds its op mutex for the duration of one verb,
+/// and releases it — marking it most recently used and running capacity
+/// eviction — on every exit path, including a throwing verb.
 class SessionManager::Lease {
  public:
-  Lease(SessionManager& manager, std::shared_ptr<Entry> entry)
-      : manager_(manager), entry_(std::move(entry)), lock_(entry_->op) {}
+  /// Pin and lock the live entry for `name`. An entry dropped (closed, or
+  /// failed to resume) while this lease waited for its op mutex is dead:
+  /// look the name up again.
+  Lease(SessionManager& manager, const std::string& name) : manager_(manager) {
+    for (;;) {
+      entry_ = manager_.pin(name);
+      lock_ = std::unique_lock<std::mutex>(entry_->op);
+      if (!entry_->dead) {
+        return;
+      }
+      lock_.unlock();
+      manager_.release(*entry_);
+    }
+  }
+  /// Take over an entry the caller made, pinned and locked.
+  Lease(SessionManager& manager, std::shared_ptr<Entry> entry,
+        std::unique_lock<std::mutex> lock)
+      : manager_(manager), entry_(std::move(entry)), lock_(std::move(lock)) {}
   ~Lease() {
     lock_.unlock();
-    manager_.release(manager_.stripe_for(entry_->spec.name), entry_);
+    manager_.release(*entry_);
   }
   Lease(const Lease&) = delete;
   Lease& operator=(const Lease&) = delete;
 
   [[nodiscard]] Entry& entry() noexcept { return *entry_; }
-  [[nodiscard]] Session& session() noexcept { return *entry_->session; }
 
  private:
   SessionManager& manager_;
@@ -98,16 +114,6 @@ SessionManager::SessionManager(SessionFactory factory,
     : factory_(std::move(factory)), config_(std::move(config)) {
   HPB_REQUIRE(factory_ != nullptr,
               "SessionManager: a session factory is required");
-  HPB_REQUIRE(config_.num_stripes > 0,
-              "SessionManager: num_stripes must be positive");
-  stripes_.reserve(config_.num_stripes);
-  for (std::size_t i = 0; i < config_.num_stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-  if (config_.max_resident > 0) {
-    stripe_capacity_ =
-        std::max<std::size_t>(1, config_.max_resident / config_.num_stripes);
-  }
   if (!config_.journal_dir.empty()) {
     fs::ensure_dir(config_.journal_dir);
     recover();
@@ -148,8 +154,8 @@ void SessionManager::recover() {
         recovery_.finished.push_back(name);
       } else {
         // Adoption is lazy: the journal stays the durable session and the
-        // first verb naming it resumes it (resume_from_journal), exactly
-        // like an LRU-evicted session. Nothing to build here.
+        // first verb naming it resumes it (resume_if_cold), exactly like an
+        // LRU-evicted session. Nothing to build here.
         recovery_.adopted.push_back(name);
         emit_span("session.adopt", name);
       }
@@ -188,15 +194,6 @@ std::string SessionManager::quarantine_journal(const std::string& name,
 // process's resume expects to find.
 SessionManager::~SessionManager() = default;
 
-SessionManager::Stripe& SessionManager::stripe_for(const std::string& name) {
-  return *stripes_[std::hash<std::string>{}(name) % stripes_.size()];
-}
-
-const SessionManager::Stripe& SessionManager::stripe_for(
-    const std::string& name) const {
-  return *stripes_[std::hash<std::string>{}(name) % stripes_.size()];
-}
-
 std::string SessionManager::journal_path(const std::string& name) const {
   if (config_.journal_dir.empty()) {
     return {};
@@ -204,27 +201,22 @@ std::string SessionManager::journal_path(const std::string& name) const {
   return config_.journal_dir + "/" + name + ".hpbj";
 }
 
-std::shared_ptr<SessionManager::Entry> SessionManager::make_entry(
+std::unique_ptr<Session> SessionManager::make_session(
     const SessionSpec& spec, SessionBackend backend,
-    std::unique_ptr<JournalWriter> journal) {
-  auto entry = std::make_shared<Entry>();
-  entry->spec = spec;
-  entry->metrics = std::make_unique<obs::MetricsRegistry>();
-  SessionConfig sc;
-  sc.batch_size = spec.batch_size;
-  sc.stop = spec.stop;
-  sc.mode = spec.mode;
-  sc.max_pending = config_.max_pending_per_session;
-  // Each session meters into its own registry (engine.* names never mix
-  // across sessions); spans and the clock are shared manager-wide.
-  sc.recorder = {.trace = config_.recorder.trace,
-                 .metrics = entry->metrics.get(),
-                 .clock = config_.recorder.clock};
-  entry->session = std::make_unique<Session>(
-      std::move(backend.tuner), std::move(sc), std::move(journal));
-  entry->session->reserve(spec.stop.max_evaluations);
-  entry->tick = ++tick_;
-  return entry;
+    std::unique_ptr<JournalWriter> journal) const {
+  // Hosted sessions trace into the manager's sink on its clock. Nothing
+  // reads per-session metrics, so they get no registry (and their tuners
+  // export no fit gauges).
+  auto session = std::make_unique<Session>(
+      std::move(backend.tuner),
+      SessionConfig{.recorder = {.trace = config_.recorder.trace,
+                                 .clock = config_.recorder.clock},
+                    .stop = spec.stop,
+                    .mode = spec.mode,
+                    .max_pending = config_.max_pending_per_session},
+      std::move(journal));
+  session->reserve(spec.stop.max_evaluations);
+  return session;
 }
 
 void SessionManager::emit_span(std::string_view span_name,
@@ -256,184 +248,265 @@ void SessionManager::create(const SessionSpec& spec) {
               "SessionManager::create: batch_size must be positive");
   HPB_REQUIRE(spec.stop.max_evaluations > 0,
               "SessionManager::create: max_evaluations must be positive");
-  Stripe& stripe = stripe_for(spec.name);
-  std::lock_guard<std::mutex> lock(stripe.m);
-  HPB_REQUIRE(stripe.map.find(spec.name) == stripe.map.end(),
-              "session '" + spec.name + "' already exists");
-  // Create-vs-adopt: a name whose journal survives on disk is an existing
-  // (cold) session, not a free name — adopt it by touching it with
-  // suggest/observe/status, or pick a new name. create() never silently
-  // truncates a journal a crashed daemon left behind.
   const std::string path = journal_path(spec.name);
-  HPB_REQUIRE(path.empty() || !file_exists(path),
-              "session '" + spec.name +
-                  "' already exists on disk (cold); touch it with "
-                  "suggest/observe/status to adopt and resume it, or choose "
-                  "another name (journal: " + path + ")");
-  SessionBackend backend = factory_(spec);
-  HPB_REQUIRE(backend.tuner != nullptr && backend.space != nullptr,
-              "SessionManager: factory returned an incomplete backend");
-  std::unique_ptr<JournalWriter> journal;
-  if (!path.empty()) {
-    journal = std::make_unique<JournalWriter>(JournalWriter::create(
-        path, header_from_spec(spec, backend.space->num_params())));
+  const bool on_disk = !path.empty() && file_exists(path);
+  // The entry is locked before it is published, so a verb racing the
+  // create waits for the built session instead of resuming a half-written
+  // journal.
+  auto entry = std::make_shared<Entry>(spec.name);
+  std::unique_lock<std::mutex> op(entry->op);
+  std::vector<std::unique_ptr<Session>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(spec.name);
+    const bool resident = it != entries_.end() && it->second->resident;
+    // Create-vs-adopt: a name whose journal survives on disk is an existing
+    // (cold) session, not a free name — adopt it by touching it with
+    // suggest/observe/status, or pick a new name. create() never silently
+    // truncates a journal a crashed daemon left behind.
+    HPB_REQUIRE(resident || !on_disk,
+                "session '" + spec.name +
+                    "' already exists on disk (cold); touch it with "
+                    "suggest/observe/status to adopt and resume it, or "
+                    "choose another name (journal: " + path + ")");
+    HPB_REQUIRE(it == entries_.end(),
+                "session '" + spec.name + "' already exists");
+    entry->in_use = 1;
+    entries_.emplace(spec.name, entry);
+    evicted = evict_lru(1);
   }
-  stripe.map.emplace(spec.name,
-                     make_entry(spec, std::move(backend), std::move(journal)));
+  discard(std::move(evicted));
+  Lease lease(*this, entry, std::move(op));
+  try {
+    SessionBackend backend = factory_(spec);
+    HPB_REQUIRE(backend.tuner != nullptr && backend.space != nullptr,
+                "SessionManager: factory returned an incomplete backend");
+    std::unique_ptr<JournalWriter> journal;
+    if (!path.empty()) {
+      journal = std::make_unique<JournalWriter>(JournalWriter::create(
+          path, header_from_spec(spec, backend.space->num_params())));
+    }
+    entry->spec = spec;
+    entry->session = make_session(spec, std::move(backend), std::move(journal));
+  } catch (...) {
+    drop(*entry);
+    throw;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entry->resident = true;
+    entry->lru = lru_.insert(lru_.end(), entry.get());
+  }
   ++created_;
   count("manager.created");
   emit_span("session.create", spec.name);
-  evict_over_capacity(stripe);
 }
 
-std::shared_ptr<SessionManager::Entry> SessionManager::resume_from_journal(
-    Stripe& stripe, const std::string& name) {
-  const std::string path = journal_path(name);
-  HPB_REQUIRE(!path.empty() && file_exists(path),
-              "unknown session '" + name + "'");
-  JournalContents contents;
-  try {
-    contents = read_journal(path);
-  } catch (const Error& e) {
-    // The journal is unreadable (corrupt header / I/O error): move it
-    // aside so the name recovers, keep the evidence, fail this one verb
-    // with a structured story instead of crashing the daemon.
-    const std::string quarantine = quarantine_journal(name, path);
-    throw Error("session '" + name + "' had a corrupt journal (" + e.what() +
-                "); it was quarantined to " + quarantine +
-                " and the session no longer exists");
+std::shared_ptr<SessionManager::Entry> SessionManager::pin(
+    const std::string& name) {
+  validate_session_name(name);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    // No entry: only a journal on disk (e.g. an adopted session) makes the
+    // name a session; its resume decides whether the session is live.
+    const std::string path = journal_path(name);
+    HPB_REQUIRE(!path.empty() && file_exists(path),
+                "unknown session '" + name + "'");
+    it = entries_.emplace(name, std::make_shared<Entry>(name)).first;
   }
-  HPB_REQUIRE(!contents.finalized,
-              "session '" + name + "' is closed (" + contents.finish_reason +
-                  ")");
-  const SessionSpec spec = spec_from_header(name, contents.header);
-  SessionBackend backend = factory_(spec);
-  HPB_REQUIRE(backend.tuner != nullptr && backend.space != nullptr,
-              "SessionManager: factory returned an incomplete backend");
-  // Deterministic tuners rebuild their exact state from their journaled
-  // suggest/observe sequence; the resumed session's next suggestion is
-  // bitwise-identical to the one the evicted instance would have made.
-  const ReplayResult replayed =
-      replay_journal(*backend.tuner, *backend.space, contents);
-  auto journal =
-      std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
-  std::shared_ptr<Entry> entry =
-      make_entry(spec, std::move(backend), std::move(journal));
-  entry->session->replay(replayed.observations, replayed.outstanding,
-                         replayed.next_token);
-  stripe.map.emplace(name, entry);
+  ++it->second->in_use;
+  return it->second;
+}
+
+Session& SessionManager::resume_if_cold(Lease& lease) {
+  Entry& entry = lease.entry();
+  if (entry.session != nullptr) {
+    return *entry.session;
+  }
+  const std::string name = entry.spec.name;
+  // Make room first, so the rebuild can reuse the evicted session's memory.
+  std::vector<std::unique_ptr<Session>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    evicted = evict_lru(1);
+  }
+  discard(std::move(evicted));
+  try {
+    const std::string path = journal_path(name);
+    HPB_REQUIRE(!path.empty() && file_exists(path),
+                "unknown session '" + name + "'");
+    JournalContents contents;
+    try {
+      contents = read_journal(path);
+    } catch (const Error& e) {
+      // The journal is unreadable (corrupt header / I/O error): move it
+      // aside so the name recovers, keep the evidence, fail this one verb
+      // with a structured story instead of crashing the daemon.
+      const std::string quarantine = quarantine_journal(name, path);
+      throw Error("session '" + name + "' had a corrupt journal (" +
+                  e.what() + "); it was quarantined to " + quarantine +
+                  " and the session no longer exists");
+    }
+    HPB_REQUIRE(!contents.finalized, "session '" + name + "' is closed (" +
+                                         contents.finish_reason + ")");
+    const SessionSpec spec = spec_from_header(name, contents.header);
+    SessionBackend backend = factory_(spec);
+    HPB_REQUIRE(backend.tuner != nullptr && backend.space != nullptr,
+                "SessionManager: factory returned an incomplete backend");
+    // Deterministic tuners rebuild their exact state from their journaled
+    // suggest/observe sequence; the resumed session's next suggestion is
+    // bitwise-identical to the one the evicted instance would have made.
+    const ReplayResult replayed =
+        replay_journal(*backend.tuner, *backend.space, contents);
+    auto journal =
+        std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
+    entry.session = make_session(spec, std::move(backend), std::move(journal));
+    entry.session->replay(replayed.observations, replayed.outstanding,
+                          replayed.next_token);
+    entry.spec = spec;
+  } catch (...) {
+    // A failed resume drops the entry (and its rid window): a corrupt
+    // journal was quarantined, a finalized one is closed.
+    drop(entry);
+    throw;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entry.resident = true;
+    entry.lru = lru_.insert(lru_.end(), &entry);
+  }
   ++resumed_;
   count("manager.resumed");
   emit_span("session.resume", name);
-  return entry;
+  return *entry.session;
 }
 
-std::shared_ptr<SessionManager::Entry> SessionManager::acquire(
-    const std::string& name) {
-  validate_session_name(name);
-  Stripe& stripe = stripe_for(name);
-  std::lock_guard<std::mutex> lock(stripe.m);
-  std::shared_ptr<Entry> entry;
-  const auto it = stripe.map.find(name);
-  if (it != stripe.map.end()) {
-    entry = it->second;
-  } else {
-    entry = resume_from_journal(stripe, name);
-  }
-  ++entry->in_use;
-  entry->tick = ++tick_;
-  return entry;
+std::unique_ptr<Session> SessionManager::unload(Entry& entry) {
+  lru_.erase(entry.lru);
+  entry.resident = false;
+  ++evicted_;
+  count("manager.evicted");
+  emit_span("session.evict", entry.spec.name);
+  return std::move(entry.session);
 }
 
-void SessionManager::release(Stripe& stripe,
-                             const std::shared_ptr<Entry>& entry) {
-  std::lock_guard<std::mutex> lock(stripe.m);
-  --entry->in_use;
-  entry->tick = ++tick_;
-  evict_over_capacity(stripe);
-}
-
-void SessionManager::evict_over_capacity(Stripe& stripe) {
-  if (stripe_capacity_ == 0) {
-    return;
-  }
-  while (stripe.map.size() > stripe_capacity_) {
-    auto victim = stripe.map.end();
-    for (auto it = stripe.map.begin(); it != stripe.map.end(); ++it) {
-      if (evictable(*it->second) && (victim == stripe.map.end() ||
-                                     it->second->tick < victim->second->tick)) {
-        victim = it;
-      }
+void SessionManager::drop(Entry& entry) {
+  // The caller holds the op mutex of a live entry, so the name still maps
+  // to it; waiters see `dead` and look the name up again.
+  entry.dead = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.erase(entry.spec.name);
+    if (entry.resident) {
+      lru_.erase(entry.lru);
+      entry.resident = false;
     }
-    if (victim == stripe.map.end()) {
-      return;  // everything is busy, journal-less, or mid-round: stay hot
-    }
-    const std::string name = victim->first;
-    stripe.map.erase(victim);
-    ++evicted_;
-    count("manager.evicted");
-    emit_span("session.evict", name);
   }
+  entry.session.reset();
+}
+
+void SessionManager::release(Entry& entry) {
+  std::vector<std::unique_ptr<Session>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --entry.in_use;
+    if (entry.resident) {
+      lru_.splice(lru_.end(), lru_, entry.lru);
+    }
+    evicted = evict_lru(0);
+  }
+  discard(std::move(evicted));
+}
+
+std::vector<std::unique_ptr<Session>> SessionManager::evict_lru(
+    std::size_t incoming) {
+  std::vector<std::unique_ptr<Session>> evicted;
+  // Oldest first; busy, journal-less, mid-round and degraded sessions are
+  // skipped and stay hot even above the cap.
+  for (auto it = lru_.begin();
+       config_.max_resident > 0 &&
+       lru_.size() + incoming > config_.max_resident && it != lru_.end();) {
+    Entry& victim = **it++;
+    if (evictable(victim)) {
+      evicted.push_back(unload(victim));
+    }
+  }
+  return evicted;
+}
+
+void SessionManager::discard(std::vector<std::unique_ptr<Session>> evicted) {
+  const std::size_t n = evicted.size();
+  evicted.clear();
+#ifdef __GLIBC__
+  // An evicted session's memory stays in the allocator arena of the thread
+  // that built it, and an exact LRU frees sessions oldest first, so freed
+  // pages pile up across arenas instead of being reused. Once per
+  // max_resident evictions (a turnover of the resident set) they go back
+  // to the OS, which keeps resident memory in step with max_resident.
+  if (n > 0 && (evictions_since_trim_ += n) >= config_.max_resident) {
+    evictions_since_trim_ = 0;
+    malloc_trim(0);
+  }
+#endif
 }
 
 bool SessionManager::evictable(const Entry& e) {
-  // Idle entries are safe to inspect under the stripe mutex: every verb
-  // bumps in_use under this mutex before touching the session, so
-  // in_use == 0 here happens-after any prior verb completed. A sync round
-  // in flight pins the session: its suggestions would be orphaned (the
-  // journal holds only the round marker, which resume discards). A
-  // degraded session is pinned too: evicting it would let the next verb
-  // "resume" from its journal and mask the disk fault behind a
-  // half-replayed session. It stays resident, read-only, and visible in
-  // health until an operator restarts with a healthy disk.
-  return e.in_use == 0 && e.session->journaled() &&
+  // Idle entries are safe to inspect under the registry mutex: every verb
+  // pins (in_use) under this mutex before taking the op mutex and unpins
+  // under it after releasing the op mutex, so in_use == 0 here
+  // happens-after any prior verb completed. A sync round in flight pins
+  // the session: its suggestions would be orphaned (the journal holds only
+  // the round marker, which resume discards). A degraded session is pinned
+  // too: evicting it would let the next verb "resume" from its journal and
+  // mask the disk fault behind a half-replayed session. It stays resident,
+  // read-only, and visible in health until an operator restarts with a
+  // healthy disk.
+  return e.resident && e.in_use == 0 && e.session->journaled() &&
          !e.session->round_in_flight() && !e.session->degraded();
 }
 
-SessionManager::Suggested SessionManager::suggest(const std::string& name,
-                                                  std::size_t k) {
-  Lease lease(*this, acquire(name));
-  if (k == 0) {
-    k = lease.entry().spec.batch_size;
+std::optional<std::string> SessionManager::run(const std::string& name,
+                                               const Verb& verb,
+                                               std::optional<RequestKey> key) {
+  Lease lease(*this, name);
+  Entry& entry = lease.entry();
+  if (key) {
+    for (const Entry::Rid& seen : entry.rids) {
+      if (seen.rid != key->rid) {
+        continue;
+      }
+      // A retry is the same request line; a different request reusing the
+      // rid is a client bug, and replaying the other request's response
+      // would silently drop this one.
+      if (seen.request != key->request) {
+        return std::nullopt;
+      }
+      return seen.response;  // byte-identical replay, no re-execution
+    }
   }
-  return {.suggestions = lease.session().suggest(k),
-          .tokens_visible =
-              lease.session().config().mode == SessionMode::kAsync};
-}
-
-SessionStatus SessionManager::observe(
-    const std::string& name, const std::vector<Observation>& observations) {
-  Lease lease(*this, acquire(name));
-  lease.session().observe(observations);
-  return lease.session().status();
-}
-
-SessionStatus SessionManager::observe(const std::string& name,
-                                      std::span<const TokenResult> results) {
-  Lease lease(*this, acquire(name));
-  lease.session().observe(results);
-  return lease.session().status();
-}
-
-std::size_t SessionManager::cancel(const std::string& name,
-                                   std::span<const std::uint64_t> tokens) {
-  Lease lease(*this, acquire(name));
-  return lease.session().cancel(tokens);
-}
-
-SessionStatus SessionManager::status(const std::string& name) {
-  Lease lease(*this, acquire(name));
-  return lease.session().status();
+  Session& session = resume_if_cold(lease);
+  std::string response = verb(session, entry.spec);
+  if (key) {
+    // Only successful responses are recorded: an error means the verb did
+    // not take effect (or left the session in a state that will report the
+    // same error again), so a retry may re-execute — e.g. an `overloaded`
+    // shed retried after capacity frees up must not replay the shed.
+    entry.rids.push_back(
+        {std::string(key->rid), std::string(key->request), response});
+    if (entry.rids.size() > kRidsPerSession) {
+      entry.rids.pop_front();
+    }
+  }
+  return response;
 }
 
 void SessionManager::close(const std::string& name) {
   {
-    Lease lease(*this, acquire(name));
-    lease.session().close();  // throws with a round in flight
+    Lease lease(*this, name);
+    resume_if_cold(lease).close();  // throws with a round in flight
+    drop(lease.entry());
   }
-  Stripe& stripe = stripe_for(name);
-  std::lock_guard<std::mutex> lock(stripe.m);
-  stripe.map.erase(name);
   ++closed_;
   count("manager.closed");
   emit_span("session.close", name);
@@ -441,36 +514,26 @@ void SessionManager::close(const std::string& name) {
 
 bool SessionManager::evict(const std::string& name) {
   validate_session_name(name);
-  Stripe& stripe = stripe_for(name);
-  std::lock_guard<std::mutex> lock(stripe.m);
-  const auto it = stripe.map.find(name);
-  if (it == stripe.map.end()) {
-    return false;
+  std::vector<std::unique_ptr<Session>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(name);
+    if (it == entries_.end() || !evictable(*it->second)) {
+      return false;
+    }
+    evicted.push_back(unload(*it->second));
   }
-  if (!evictable(*it->second)) {
-    return false;
-  }
-  stripe.map.erase(it);
-  ++evicted_;
-  count("manager.evicted");
-  emit_span("session.evict", name);
+  discard(std::move(evicted));
   return true;
-}
-
-std::string SessionManager::session_metrics_json(const std::string& name) {
-  Lease lease(*this, acquire(name));
-  return lease.entry().metrics->to_json();
 }
 
 ManagerHealth SessionManager::health() const {
   ManagerHealth h;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->m);
-    h.resident += stripe->map.size();
-    for (const auto& [name, entry] : stripe->map) {
-      if (entry->session->degraded()) {
-        ++h.degraded;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  h.resident = lru_.size();
+  for (const Entry* entry : lru_) {
+    if (entry->session->degraded()) {
+      ++h.degraded;
     }
   }
   h.created = created_.load(std::memory_order_relaxed);
@@ -480,36 +543,6 @@ ManagerHealth SessionManager::health() const {
   h.adopted = recovery_.adopted.size();
   h.quarantined = quarantined_.load(std::memory_order_relaxed);
   return h;
-}
-
-std::size_t SessionManager::checkpoint_all() {
-  std::size_t n = 0;
-  for (auto& stripe_ptr : stripes_) {
-    Stripe& stripe = *stripe_ptr;
-    // Pin every resident entry under the stripe mutex, then checkpoint
-    // outside it (op-mutex after stripe-mutex would invert the Lease
-    // ordering, which releases the op mutex before re-taking the stripe).
-    std::vector<std::shared_ptr<Entry>> entries;
-    {
-      std::lock_guard<std::mutex> lock(stripe.m);
-      entries.reserve(stripe.map.size());
-      for (auto& [name, entry] : stripe.map) {
-        ++entry->in_use;
-        entries.push_back(entry);
-      }
-    }
-    for (auto& entry : entries) {
-      {
-        std::lock_guard<std::mutex> op(entry->op);
-        (void)entry->session->checkpoint();
-      }
-      emit_span("manager.checkpoint", entry->spec.name);
-      ++n;
-      release(stripe, entry);
-    }
-  }
-  count("manager.checkpoint_all");
-  return n;
 }
 
 }  // namespace hpb::core

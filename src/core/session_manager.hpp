@@ -2,40 +2,47 @@
 // behind one object — the core of the tuning service.
 //
 // Clients create a session by name, then suggest / observe / status / close
-// it; between verbs the client may disappear entirely. The registry is
-// striped (hash(name) → stripe, each stripe its own mutex + map), so verbs
-// on different sessions proceed in parallel while verbs on one session are
-// serialized by a per-session mutex.
+// it; between verbs the client may disappear entirely. The registry is one
+// mutex over one name → entry map and one LRU list of resident entries,
+// held only to look up, pin and record residency: building a tuner,
+// reading, replaying and appending to a journal, and destroying an evicted
+// session all run outside it. A per-entry op mutex serializes verbs on one
+// session (it is taken before, never after, the registry mutex), so verbs
+// on different sessions proceed in parallel.
 //
-// Cold eviction: when a stripe exceeds its share of `max_resident`, its
-// least-recently-used idle session is dropped from memory. Nothing is lost
-// — every hosted session is backed by the write-ahead journal (one fsync'd
-// record per observation, PR 3), so the on-disk state already *is* the
-// session. The next verb that touches an evicted name transparently
-// resumes it: the factory rebuilds the tuner, replay_journal re-drives it
-// through the journaled rounds (bitwise-identical suggest sequence, proven
-// by tests/test_session.cpp), and the journal re-opens in append mode. A
-// session with an unobserved round in flight is pinned hot — evicting it
-// would orphan its suggestions.
+// Cold eviction: beyond `max_resident` resident sessions, the least
+// recently used idle ones are dropped from memory. Nothing is lost — every
+// hosted session is backed by the write-ahead journal (one fsync'd record
+// per observation), so the on-disk state already *is* the session. A
+// create or resume evicts first, so the cap holds while it builds and the
+// new session reuses the evicted one's memory. The entry keeps the spec and
+// the rid window (see run()), and the next verb on the name resumes it,
+// once, under the op mutex: the factory rebuilds the tuner, replay_journal
+// re-drives it through the journaled events (bitwise-identical suggest
+// sequence, proven by tests/test_session.cpp), and the journal re-opens in
+// append mode. A session with an unobserved round in flight is pinned hot
+// — evicting it would orphan its suggestions.
 //
 // Observability: the manager emits `session.*` spans (create / resume /
-// evict / close) and `manager.*` counters into its own recorder, and gives
-// every resident session a private MetricsRegistry scope so one session's
-// engine.* metrics never mix with another's.
+// evict / close) and `manager.*` counters into its own recorder; hosted
+// sessions share its trace sink and clock.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
-#include <span>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/session.hpp"
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "space/parameter_space.hpp"
 
@@ -69,8 +76,8 @@ struct SessionBackend {
   space::SpacePtr space;
 };
 
-/// Builds the backend for a spec. Called with a registry stripe locked, so
-/// it should be reasonably quick and must be thread-safe across concurrent
+/// Builds the backend for a spec. Called outside the registry lock (under
+/// the session's op mutex), so it must be thread-safe across concurrent
 /// calls for different sessions. Throws hpb::Error on unknown methods /
 /// datasets; the error propagates to the creating verb.
 using SessionFactory = std::function<SessionBackend(const SessionSpec&)>;
@@ -83,18 +90,18 @@ struct SessionManagerConfig {
   /// Empty disables journaling — sessions then live only in memory and are
   /// never evicted (there would be nothing to resume from).
   std::string journal_dir;
-  /// Soft cap on resident (in-memory) sessions across all stripes; each
-  /// stripe evicts beyond its share. 0 = unlimited (no eviction).
+  /// Cap on resident (in-memory) sessions: beyond it the least-recently
+  /// used idle sessions are evicted. Sessions in use, mid-round, degraded
+  /// or journal-less cannot be evicted and may hold residency above it.
+  /// 0 = unlimited (no eviction).
   std::size_t max_resident = 0;
-  /// Lock stripes for the registry. More stripes, more verb parallelism.
-  std::size_t num_stripes = 16;
   /// Per-session cap on outstanding async tokens (forwarded to
   /// SessionConfig::max_pending). A suggest that would exceed it is shed
   /// with hpb::OverloadError. 0 = unlimited.
   std::size_t max_pending_per_session = 0;
   /// Manager-level observability: `session.*` spans and `manager.*`
-  /// counters. Per-session engine metrics go to each session's private
-  /// registry, not here.
+  /// counters. Hosted sessions trace into the same sink with the same
+  /// clock; they get no metrics registry.
   obs::Recorder recorder;
 };
 
@@ -139,46 +146,41 @@ class SessionManager {
   /// resident, or already has a journal on disk (finished or not).
   void create(const SessionSpec& spec);
 
-  /// A suggest answered by the manager: the tokenized suggestions, and
-  /// whether the tokens are client-visible (async sessions) or internal
-  /// to a sync round (whose results come back by configuration).
-  struct Suggested {
-    std::vector<Suggestion> suggestions;
-    bool tokens_visible = false;
+  /// Successful responses remembered per session for rid replay. A client
+  /// retrying over a fresh connection only ever retries its last in-flight
+  /// request, so a small window per session suffices.
+  static constexpr std::size_t kRidsPerSession = 32;
+
+  /// A verb body: runs on the leased (resident) session and its spec,
+  /// under the session's op mutex, and returns the verb's response.
+  using Verb = std::function<std::string(Session&, const SessionSpec&)>;
+
+  /// The idempotency key of a retryable request: the client's rid and the
+  /// request line it names, byte for byte.
+  struct RequestKey {
+    std::string_view rid;
+    std::string_view request;
   };
 
-  /// Ask the named session for up to k configurations (0 = the session's
-  /// batch size). Resumes the session from its journal when it was
-  /// evicted.
-  [[nodiscard]] Suggested suggest(const std::string& name, std::size_t k);
+  /// Run `verb` on the named session, resuming it from its journal when
+  /// it is cold. Throws for invalid, unknown or closed names and whatever
+  /// the verb throws. With a key, the run is exactly-once: when the
+  /// session's window remembers the rid, nothing runs (and no cold session
+  /// is resumed) — the recorded response is returned for the identical
+  /// request line, and nullopt for a different request reusing the rid.
+  /// Otherwise a successful response is recorded; errors are not, so a
+  /// failed request may be retried with the same rid.
+  std::optional<std::string> run(const std::string& name, const Verb& verb,
+                                 std::optional<RequestKey> key = {});
 
-  /// Sync sessions: deliver the evaluated round by configuration, in
-  /// suggestion order. Returns the post-observe status snapshot.
-  SessionStatus observe(const std::string& name,
-                        const std::vector<Observation>& observations);
-
-  /// Async sessions: deliver completed evaluations by token, in any order
-  /// and any subset. Returns the post-observe status snapshot.
-  SessionStatus observe(const std::string& name,
-                        std::span<const TokenResult> results);
-
-  /// Release work that will never be observed (see Session::cancel):
-  /// async sessions abandon the given tokens (empty = every outstanding
-  /// token); sync sessions cancel the in-flight round whole (tokens must be
-  /// empty). Returns the number of suggestions released.
-  std::size_t cancel(const std::string& name,
-                     std::span<const std::uint64_t> tokens = {});
-
-  [[nodiscard]] SessionStatus status(const std::string& name);
-
-  /// Finalize the session's journal ("closed") and drop it. Throws when
-  /// the name is unknown, the session already closed, or a round is in
-  /// flight. A closed name cannot be re-created while its finalized
-  /// journal remains on disk.
+  /// Finalize the session's journal ("closed") and drop its entry, rid
+  /// window included. Throws when the name is unknown, the session already
+  /// closed, or a round is in flight. A closed name cannot be re-created
+  /// while its finalized journal remains on disk.
   void close(const std::string& name);
 
   /// Force-evict one session (test hook; production eviction is LRU).
-  /// Returns false when the session is missing or not evictable (see
+  /// Returns false when the session is not resident or not evictable (see
   /// evictable()).
   bool evict(const std::string& name);
 
@@ -191,67 +193,72 @@ class SessionManager {
   /// sessions right now, lifetime created / evicted / resumed / closed).
   [[nodiscard]] ManagerHealth health() const;
 
-  /// Drain support: take a durability checkpoint of every resident idle
-  /// session (journals are fsync'd per record, so this verifies rather
-  /// than flushes) and emit a `manager.checkpoint` span per session.
-  /// Returns the number of sessions checkpointed.
-  std::size_t checkpoint_all();
-
-  /// Deterministic JSON snapshot of the named session's private metrics.
-  [[nodiscard]] std::string session_metrics_json(const std::string& name);
-
-  [[nodiscard]] const SessionManagerConfig& config() const noexcept {
-    return config_;
-  }
-
   /// Journal path for a (valid) session name; empty when journaling is
   /// disabled.
   [[nodiscard]] std::string journal_path(const std::string& name) const;
 
  private:
+  /// One session name's registry entry. It exists while the name is
+  /// resident, evicted, or being created or resumed, and outlives
+  /// residency: eviction drops only `session`.
   struct Entry {
+    struct Rid {
+      std::string rid;
+      std::string request;  // the request line, byte for byte
+      std::string response;
+    };
+    explicit Entry(const std::string& name) { spec.name = name; }
+
+    std::mutex op;  // serializes verbs on this session
+    // Guarded by `op`.
     SessionSpec spec;
-    std::unique_ptr<obs::MetricsRegistry> metrics;
-    std::unique_ptr<Session> session;
-    std::mutex op;          // serializes verbs on this session
-    std::size_t in_use = 0;  // guarded by the stripe mutex
-    std::uint64_t tick = 0;  // LRU stamp, guarded by the stripe mutex
+    std::unique_ptr<Session> session;  // null while cold
+    std::deque<Rid> rids;              // newest last
+    bool dead = false;  // dropped from the registry (closed, failed resume)
+    // Guarded by the registry mutex.
+    std::size_t in_use = 0;  // leases held or waited for
+    bool resident = false;   // `session` is built and on the LRU list
+    std::list<Entry*>::iterator lru;
   };
-  struct Stripe {
-    mutable std::mutex m;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> map;
-  };
-  /// RAII in-use pin: releases the entry (and runs LRU eviction) on scope
-  /// exit even when the verb throws.
+  /// RAII pin + op lock on a live entry; releases the entry (and runs LRU
+  /// eviction) on scope exit even when the verb throws.
   class Lease;
 
-  [[nodiscard]] Stripe& stripe_for(const std::string& name);
-  [[nodiscard]] const Stripe& stripe_for(const std::string& name) const;
+  /// Pin the entry for `name`, making a cold one when the name has no
+  /// entry but a journal on disk. Throws for invalid and unknown names.
+  [[nodiscard]] std::shared_ptr<Entry> pin(const std::string& name);
 
-  /// Find (or resume from journal) the entry; bumps in_use under the
-  /// stripe lock. Throws for unknown / closed sessions.
-  [[nodiscard]] std::shared_ptr<Entry> acquire(const std::string& name);
+  /// The leased entry's session, resumed from its journal when cold. A
+  /// failed resume drops the entry and rethrows.
+  Session& resume_if_cold(Lease& lease);
 
-  /// Drop the in-use pin, stamp the LRU tick, and evict beyond capacity.
-  void release(Stripe& stripe, const std::shared_ptr<Entry>& entry);
+  /// Take a resident entry's session out of memory (returned for
+  /// destruction after the registry lock is released). Caller holds the
+  /// registry mutex.
+  [[nodiscard]] std::unique_ptr<Session> unload(Entry& entry);
 
-  /// Evict LRU idle sessions while the stripe exceeds its share of
-  /// max_resident. Caller holds the stripe mutex.
-  void evict_over_capacity(Stripe& stripe);
+  /// Drop a live entry, and its session, from the registry (close, failed
+  /// create or resume). Caller holds the entry's op mutex.
+  void drop(Entry& entry);
 
-  /// Whether dropping the entry from memory loses nothing. Caller holds
-  /// the stripe mutex.
+  /// Unpin the entry, mark it most recently used, and evict beyond
+  /// max_resident.
+  void release(Entry& entry);
+
+  /// Evict least recently used idle sessions until `incoming` more fit
+  /// under max_resident. Caller holds the registry mutex and passes the
+  /// evicted sessions to discard() after releasing it.
+  [[nodiscard]] std::vector<std::unique_ptr<Session>> evict_lru(
+      std::size_t incoming);
+  void discard(std::vector<std::unique_ptr<Session>> evicted);
+
+  /// Whether dropping the entry's session from memory loses nothing.
+  /// Caller holds the registry mutex.
   [[nodiscard]] static bool evictable(const Entry& entry);
 
-  /// Rebuild an evicted session from its journal. Caller holds the stripe
-  /// mutex and pins (in_use) the returned entry itself.
-  [[nodiscard]] std::shared_ptr<Entry> resume_from_journal(
-      Stripe& stripe, const std::string& name);
-
-  [[nodiscard]] std::shared_ptr<Entry> make_entry(const SessionSpec& spec,
-                                                  SessionBackend backend,
-                                                  std::unique_ptr<JournalWriter>
-                                                      journal);
+  [[nodiscard]] std::unique_ptr<Session> make_session(
+      const SessionSpec& spec, SessionBackend backend,
+      std::unique_ptr<JournalWriter> journal) const;
 
   void emit_span(std::string_view name, const std::string& session_name);
   void count(const char* counter);
@@ -267,14 +274,15 @@ class SessionManager {
 
   SessionFactory factory_;
   SessionManagerConfig config_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t stripe_capacity_ = 0;  // 0 = unlimited
-  std::atomic<std::uint64_t> tick_{0};
+  mutable std::mutex mu_;  // the registry mutex
+  std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
+  std::list<Entry*> lru_;  // resident entries, least recently used first
   std::atomic<std::uint64_t> created_{0};
   std::atomic<std::uint64_t> evicted_{0};
   std::atomic<std::uint64_t> resumed_{0};
   std::atomic<std::uint64_t> closed_{0};
   std::atomic<std::uint64_t> quarantined_{0};
+  std::atomic<std::size_t> evictions_since_trim_{0};
   RecoveryReport recovery_;  // written once, in the constructor
 };
 

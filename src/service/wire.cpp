@@ -1,10 +1,8 @@
 #include "service/wire.hpp"
 
 #include <cmath>
-#include <deque>
 #include <limits>
-#include <mutex>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -99,6 +97,10 @@ std::string status_json(const core::SessionStatus& s) {
   }
   out += '}';
   return out;
+}
+
+std::string status_reply(const core::SessionStatus& s) {
+  return "{\"ok\":true,\"status\":" + status_json(s) + "}";
 }
 
 /// Reject keys outside `allowed` — the strictness that catches typo'd and
@@ -213,33 +215,33 @@ std::string rid_field(const JsonValue& request) {
   return rid;
 }
 
-std::string handle_suggest(core::SessionManager& manager,
-                           const JsonValue& request) {
+/// Parse a suggest request into the verb that answers it.
+core::SessionManager::Verb suggest_verb(const JsonValue& request) {
   require_only_keys(request, {"verb", "session", "count", "rid"});
-  const std::string name = require_string(request, "session");
   const std::size_t count = size_field(request, "count", 0);
-  const core::SessionManager::Suggested suggested =
-      manager.suggest(name, count);
-  const std::vector<core::Suggestion>& suggestions = suggested.suggestions;
-  std::string out = "{\"ok\":true,\"configs\":[";
-  for (std::size_t i = 0; i < suggestions.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += values_json(suggestions[i].config.values());
-  }
-  // Sync tokens stay internal: the round comes back by configuration.
-  if (suggested.tokens_visible) {
-    out += "],\"tokens\":[";
+  return [count](core::Session& session, const core::SessionSpec& spec) {
+    const std::vector<core::Suggestion> suggestions =
+        session.suggest(count == 0 ? spec.batch_size : count);
+    std::string out = "{\"ok\":true,\"configs\":[";
     for (std::size_t i = 0; i < suggestions.size(); ++i) {
       if (i > 0) {
         out += ',';
       }
-      out += std::to_string(suggestions[i].token);
+      out += values_json(suggestions[i].config.values());
     }
-  }
-  out += "]}";
-  return out;
+    // Sync tokens stay internal: the round comes back by configuration.
+    if (spec.mode == core::SessionMode::kAsync) {
+      out += "],\"tokens\":[";
+      for (std::size_t i = 0; i < suggestions.size(); ++i) {
+        if (i > 0) {
+          out += ',';
+        }
+        out += std::to_string(suggestions[i].token);
+      }
+    }
+    out += "]}";
+    return out;
+  };
 }
 
 /// The outcome of results[index], shared by both result shapes: an
@@ -304,10 +306,9 @@ core::TokenResult parse_token_result(const JsonValue& item,
   return r;
 }
 
-std::string handle_observe(core::SessionManager& manager,
-                           const JsonValue& request) {
+/// Parse an observe request into the verb that delivers its results.
+core::SessionManager::Verb observe_verb(const JsonValue& request) {
   require_only_keys(request, {"verb", "session", "results", "rid"});
-  const std::string name = require_string(request, "session");
   const JsonValue& results = require_key(request, "results");
   if (!results.is_array()) {
     bad("'results' must be an array, got " + std::string(results.kind_name()));
@@ -327,29 +328,33 @@ std::string handle_observe(core::SessionManager& manager,
           "deliver one kind per observe");
     }
   }
-  core::SessionStatus status;
   if (async) {
     std::vector<core::TokenResult> parsed;
     parsed.reserve(items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
       parsed.push_back(parse_token_result(items[i], i));
     }
-    status = manager.observe(name, parsed);
-  } else {
-    std::vector<core::Observation> observations;
-    observations.reserve(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      observations.push_back(parse_result(items[i], i));
-    }
-    status = manager.observe(name, observations);
+    return [parsed = std::move(parsed)](core::Session& session,
+                                        const core::SessionSpec&) {
+      session.observe(parsed);
+      return status_reply(session.status());
+    };
   }
-  return "{\"ok\":true,\"status\":" + status_json(status) + "}";
+  std::vector<core::Observation> observations;
+  observations.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    observations.push_back(parse_result(items[i], i));
+  }
+  return [observations = std::move(observations)](
+             core::Session& session, const core::SessionSpec&) {
+    session.observe(observations);
+    return status_reply(session.status());
+  };
 }
 
-std::string handle_cancel(core::SessionManager& manager,
-                          const JsonValue& request) {
+/// Parse a cancel request into the verb that releases its tokens.
+core::SessionManager::Verb cancel_verb(const JsonValue& request) {
   require_only_keys(request, {"verb", "session", "tokens", "rid"});
-  const std::string name = require_string(request, "session");
   std::vector<std::uint64_t> tokens;
   if (const JsonValue* v = request.find("tokens"); v != nullptr) {
     if (!v->is_array()) {
@@ -367,15 +372,20 @@ std::string handle_cancel(core::SessionManager& manager,
       tokens.push_back(static_cast<std::uint64_t>(d));
     }
   }
-  const std::size_t cancelled = manager.cancel(name, tokens);
-  return "{\"ok\":true,\"cancelled\":" + std::to_string(cancelled) + "}";
+  return [tokens = std::move(tokens)](core::Session& session,
+                                      const core::SessionSpec&) {
+    return "{\"ok\":true,\"cancelled\":" +
+           std::to_string(session.cancel(tokens)) + "}";
+  };
 }
 
 std::string handle_status(core::SessionManager& manager,
                           const JsonValue& request) {
   require_only_keys(request, {"verb", "session"});
-  const std::string name = require_string(request, "session");
-  return "{\"ok\":true,\"status\":" + status_json(manager.status(name)) + "}";
+  return *manager.run(require_string(request, "session"),
+                      [](core::Session& session, const core::SessionSpec&) {
+                        return status_reply(session.status());
+                      });
 }
 
 std::string handle_close(core::SessionManager& manager,
@@ -405,92 +415,6 @@ std::string handle_health(core::SessionManager& manager,
 
 }  // namespace
 
-/// One session's replay window plus the mutex that makes its retried verbs
-/// exactly-once: the winner of a concurrent same-rid race executes with
-/// the lock held, the loser then finds the recorded response.
-struct SessionRids {
-  struct Entry {
-    std::string rid;
-    std::string request;  // the request line, byte for byte
-    std::string response;
-  };
-  std::mutex m;
-  std::deque<Entry> entries;
-};
-
-/// Striped session → SessionRids map. Stripe mutexes guard only the map;
-/// execution holds the per-session mutex, so verbs on different sessions
-/// never serialize here.
-struct WireService::RidState {
-  static constexpr std::size_t kStripes = 16;
-  struct Stripe {
-    std::mutex m;
-    std::unordered_map<std::string, std::shared_ptr<SessionRids>> map;
-  };
-  Stripe stripes[kStripes];
-
-  Stripe& stripe_for(const std::string& session) {
-    return stripes[std::hash<std::string>{}(session) % kStripes];
-  }
-
-  std::shared_ptr<SessionRids> get(const std::string& session) {
-    Stripe& s = stripe_for(session);
-    std::lock_guard<std::mutex> lock(s.m);
-    std::shared_ptr<SessionRids>& slot = s.map[session];
-    if (slot == nullptr) {
-      slot = std::make_shared<SessionRids>();
-    }
-    return slot;
-  }
-
-  void forget(const std::string& session) {
-    Stripe& s = stripe_for(session);
-    std::lock_guard<std::mutex> lock(s.m);
-    s.map.erase(session);
-  }
-};
-
-WireService::WireService(core::SessionManager& manager)
-    : manager_(manager), rids_(std::make_unique<RidState>()) {}
-
-WireService::~WireService() = default;
-
-std::string WireService::replay_or_execute(
-    const std::string& session, const std::string& rid,
-    std::string_view request, const std::function<std::string()>& run) {
-  const std::shared_ptr<SessionRids> rids = rids_->get(session);
-  std::lock_guard<std::mutex> lock(rids->m);
-  for (const SessionRids::Entry& seen : rids->entries) {
-    if (seen.rid != rid) {
-      continue;
-    }
-    // A retry is the same request line; a different request reusing the
-    // rid is a client bug, and replaying the other request's response
-    // would silently drop this one.
-    if (seen.request != request) {
-      bad("'rid' \"" + rid +
-          "\" was already used by a different request in this session; "
-          "a retry must resend the identical request line");
-    }
-    return seen.response;  // byte-identical replay, no re-execution
-  }
-  // Only successful responses are recorded: an error response means the
-  // verb did not take effect (or left the session in a state that will
-  // report the same error again), so a retry may re-execute — e.g. an
-  // `overloaded` shed retried after capacity frees up must not replay the
-  // shed.
-  const std::string response = run();
-  rids->entries.push_back({rid, std::string(request), response});
-  if (rids->entries.size() > kRidsPerSession) {
-    rids->entries.pop_front();
-  }
-  return response;
-}
-
-void WireService::forget_rids(const std::string& session) {
-  rids_->forget(session);
-}
-
 std::string WireService::handle_line(std::string_view line) {
   try {
     JsonValue request;
@@ -514,25 +438,28 @@ std::string WireService::handle_line(std::string_view line) {
     if (name == "suggest" || name == "observe" || name == "cancel") {
       const std::string session = require_string(request, "session");
       const std::string rid = rid_field(request);
-      const auto run = [&]() {
-        if (name == "suggest") {
-          return handle_suggest(manager_, request);
-        }
-        if (name == "observe") {
-          return handle_observe(manager_, request);
-        }
-        return handle_cancel(manager_, request);
-      };
-      return rid.empty() ? run()
-                         : replay_or_execute(session, rid, line, run);
+      const core::SessionManager::Verb body =
+          name == "suggest"   ? suggest_verb(request)
+          : name == "observe" ? observe_verb(request)
+                              : cancel_verb(request);
+      std::optional<core::SessionManager::RequestKey> key;
+      if (!rid.empty()) {
+        key = core::SessionManager::RequestKey{.rid = rid, .request = line};
+      }
+      const std::optional<std::string> response =
+          manager_.run(session, body, key);
+      if (!response) {
+        bad("'rid' \"" + rid +
+            "\" was already used by a different request in this session; "
+            "a retry must resend the identical request line");
+      }
+      return *response;
     }
     if (name == "status") {
       return handle_status(manager_, request);
     }
     if (name == "close") {
-      const std::string response = handle_close(manager_, request);
-      forget_rids(require_string(request, "session"));
-      return response;
+      return handle_close(manager_, request);
     }
     if (name == "health") {
       return handle_health(manager_, request);

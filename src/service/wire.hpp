@@ -24,24 +24,24 @@
 // configuration values and objective values cross the wire bit-exactly.
 //
 // Idempotent retries: suggest / observe / cancel accept an optional
-// client-chosen `"rid"` string (1..64 chars). The service remembers the
-// last kRidsPerSession successful requests per session, each request line
-// beside its response; a retry — the byte-identical request line with the
-// same rid — returns the recorded response byte-identically: no new tokens
-// minted, no observation double-applied. A different request reusing a
-// remembered rid is rejected with bad_request naming the rid; it executes
-// nothing and records nothing. Error responses are not recorded, so a
-// shed or rejected request may be retried with the same rid. The cache is
-// in-memory only: after a daemon restart a retried rid re-executes, which
-// is why clients resync via `status` after a reconnect (see README,
-// "Operating the daemon").
+// client-chosen `"rid"` string (1..64 chars). The manager remembers the
+// last SessionManager::kRidsPerSession successful requests in each
+// session's registry entry, each request line beside its response; a
+// retry — the byte-identical request line with the same rid — returns the
+// recorded response byte-identically: no new tokens minted, no observation
+// double-applied, no resume of an evicted session. A different request
+// reusing a remembered rid is rejected with bad_request naming the rid; it
+// executes nothing and records nothing. Error responses are not recorded,
+// so a shed or rejected request may be retried with the same rid. The
+// window survives eviction and dies with `close`; it is in-memory only:
+// after a daemon restart a retried rid re-executes, which is why clients
+// resync via `status` after a reconnect (see README, "Operating the
+// daemon").
 //
 // handle_line never throws and never crashes the daemon: every failure,
 // including a hostile request, becomes an error response.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -67,13 +67,7 @@ inline constexpr std::string_view kInternal = "internal";
 
 class WireService {
  public:
-  /// Most-recent successful responses remembered per session for rid
-  /// replay. A client retrying over a fresh connection only ever retries
-  /// its last in-flight request, so a small window per session suffices.
-  static constexpr std::size_t kRidsPerSession = 32;
-
-  explicit WireService(core::SessionManager& manager);
-  ~WireService();
+  explicit WireService(core::SessionManager& manager) : manager_(manager) {}
 
   WireService(const WireService&) = delete;
   WireService& operator=(const WireService&) = delete;
@@ -84,26 +78,8 @@ class WireService {
   /// the same session.
   [[nodiscard]] std::string handle_line(std::string_view line);
 
-  [[nodiscard]] core::SessionManager& manager() noexcept { return manager_; }
-
  private:
-  struct RidState;  // striped per-session replay cache (wire.cpp)
-
-  /// Replay the recorded response for (session, rid) when `request` is the
-  /// recorded request line (a rid reused by a different request throws the
-  /// bad_request error), or run `run` with the session's rid lock held — a
-  /// concurrent retry of the same rid blocks and then replays, so the verb
-  /// executes exactly once.
-  [[nodiscard]] std::string replay_or_execute(
-      const std::string& session, const std::string& rid,
-      std::string_view request, const std::function<std::string()>& run);
-
-  /// Drop a closed session's replay window (its name may be re-created
-  /// after the finalized journal is removed out of band).
-  void forget_rids(const std::string& session);
-
   core::SessionManager& manager_;
-  std::unique_ptr<RidState> rids_;
 };
 
 }  // namespace hpb::service

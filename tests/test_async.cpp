@@ -42,6 +42,7 @@
 #include "core/session_manager.hpp"
 #include "eval/methods.hpp"
 #include "obs/clock.hpp"
+#include "manager_util.hpp"
 #include "test_util.hpp"
 
 namespace hpb {
@@ -96,13 +97,11 @@ TokenResult complete(const Suggestion& s) {
 
 /// Fresh async session over the separable dataset; `keep` owns the tuner.
 Session make_async_session(std::unique_ptr<core::Tuner>& keep,
-                           core::JournalWriter* journal = nullptr,
-                           std::size_t batch = 2) {
+                           core::JournalWriter* journal = nullptr) {
   static auto ds = testutil::separable_dataset();
   keep = eval::make_named_tuner("hiperbot", ds, kSeed);
   return Session(*keep,
-                 {.batch_size = batch,
-                  .stop = {.max_evaluations = 64},
+                 {.stop = {.max_evaluations = 64},
                   .mode = SessionMode::kAsync},
                  journal);
 }
@@ -130,8 +129,7 @@ ScriptedRun run_fixed_schedule(const std::string& tag) {
     obs::FakeClock clock(1000, 10);
     auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
     Session session(*tuner,
-                    {.batch_size = 2,
-                     .recorder = {.clock = &clock},
+                    {.recorder = {.clock = &clock},
                      .stop = {.max_evaluations = 64},
                      .mode = SessionMode::kAsync},
                     &journal);
@@ -309,7 +307,7 @@ TEST(SyncSession, CancelRoundReleasesAStuckRound) {
   auto ds = testutil::separable_dataset();
   auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
   Session session(*tuner,
-                  {.batch_size = 2, .stop = {.max_evaluations = 64}});
+                  {.stop = {.max_evaluations = 64}});
   auto batch = session.suggest(2);
   EXPECT_TRUE(session.round_in_flight());
   EXPECT_THROW(session.close(), hpb::Error);  // wedged: client died here
@@ -354,7 +352,7 @@ TEST(CrossMode, SyncVerbsOnAsyncSessionThrow) {
 TEST(CrossMode, AsyncVerbsOnSyncSessionThrow) {
   auto ds = testutil::separable_dataset();
   auto tuner = eval::make_named_tuner("random", ds, kSeed);
-  Session session(*tuner, {.batch_size = 2, .stop = {.max_evaluations = 8}});
+  Session session(*tuner, {.stop = {.max_evaluations = 8}});
   const auto batch = session.suggest(2);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_THROW((void)session.suggest(1), hpb::Error);
@@ -491,7 +489,7 @@ AsyncDriven drive_async_managed(const std::set<std::size_t>& evict_after,
   std::deque<Suggestion> outstanding;
   std::size_t deliveries = 0;
   for (std::size_t step = 0; step < 6; ++step) {
-    for (Suggestion& s : manager.suggest("aequiv", 2).suggestions) {
+    for (Suggestion& s : testutil::suggest(manager, "aequiv", 2)) {
       run.suggested.push_back(s.config.values());
       outstanding.push_back(std::move(s));
     }
@@ -502,11 +500,11 @@ AsyncDriven drive_async_managed(const std::set<std::size_t>& evict_after,
         deliveries % 4 == 0
             ? TokenResult{s.token, EvalStatus::kCrashed, std::nan("")}
             : complete(s)};
-    (void)manager.observe("aequiv", r);
+    (void)testutil::observe(manager, "aequiv", r);
     if (step == 3) {
       const std::uint64_t t[] = {outstanding.front().token};
       outstanding.pop_front();
-      EXPECT_EQ(manager.cancel("aequiv", t), 1u);
+      EXPECT_EQ(testutil::cancel(manager, "aequiv", t), 1u);
     }
     if (evict_after.count(step) != 0) {
       EXPECT_TRUE(manager.evict("aequiv")) << "step " << step;
@@ -516,7 +514,7 @@ AsyncDriven drive_async_managed(const std::set<std::size_t>& evict_after,
     const Suggestion s = outstanding.back();
     outstanding.pop_back();
     const TokenResult r[] = {complete(s)};
-    run.best = manager.observe("aequiv", r).best_value;
+    run.best = testutil::observe(manager, "aequiv", r).best_value;
   }
   EXPECT_EQ(manager.health().evicted, evict_after.size());
   EXPECT_EQ(manager.health().resumed, evict_after.size());
@@ -563,20 +561,21 @@ std::vector<std::vector<double>> drive_sync_with_cancel(
   manager.create(spec);
   std::vector<std::vector<double>> suggested;
   const auto observe_round = [&] {
-    auto batch = manager.suggest("sequiv", 2).suggestions;
+    auto batch = testutil::suggest(manager, "sequiv", 2);
     std::vector<Observation> obs;
     for (auto& [token, c] : batch) {
       suggested.push_back(c.values());
       const double y = testutil::separable_value(c);
       obs.push_back({std::move(c), y, EvalStatus::kOk});
     }
-    (void)manager.observe("sequiv", std::move(obs));
+    (void)testutil::observe(manager, "sequiv", std::move(obs));
   };
   observe_round();
-  for (const auto& [token, c] : manager.suggest("sequiv", 2).suggestions) {
+  for (const auto& [token, c] : testutil::suggest(manager, "sequiv", 2)) {
     suggested.push_back(c.values());
   }
-  EXPECT_EQ(manager.cancel("sequiv"), 2u);  // un-wedge the stuck round
+  // Un-wedge the stuck round.
+  EXPECT_EQ(testutil::cancel(manager, "sequiv"), 2u);
   if (evict_after_cancel) {
     EXPECT_TRUE(manager.evict("sequiv"));
   }
@@ -605,9 +604,9 @@ TEST(AsyncManaged, CloseRequiresDrainOrCancel) {
   SessionManager manager(test_factory(),
                          {.journal_dir = fresh_dir("aclose")});
   manager.create(async_spec("stuck"));
-  (void)manager.suggest("stuck", 3).suggestions;
+  (void)testutil::suggest(manager, "stuck", 3);
   EXPECT_THROW(manager.close("stuck"), hpb::Error);
-  EXPECT_EQ(manager.cancel("stuck", {}), 3u);
+  EXPECT_EQ(testutil::cancel(manager, "stuck", {}), 3u);
   manager.close("stuck");
   EXPECT_EQ(manager.health().closed, 1u);
 }

@@ -77,7 +77,6 @@ struct Service {
         test_factory(), core::SessionManagerConfig{
                             .journal_dir = dir,
                             .max_resident = 4,
-                            .num_stripes = 2,
                             .max_pending_per_session = kMaxPending});
     wire = std::make_unique<service::WireService>(*manager);
   }
@@ -192,8 +191,7 @@ class Client {
           (m.async() ? ",\"mode\":\"async\"}" : "}");
       m.tuner = eval::make_named_tuner(m.method, *dataset(), m.seed);
       m.oracle = std::make_unique<Session>(
-          *m.tuner, core::SessionConfig{.batch_size = m.batch,
-                                        .stop = {.max_evaluations = 200},
+          *m.tuner, core::SessionConfig{.stop = {.max_evaluations = 200},
                                         .mode = m.mode,
                                         .max_pending = kMaxPending});
       expect_ok(m, send(line), true);

@@ -4,19 +4,20 @@
 //     finalized ones, quarantines unreadable ones to *.hpbj.corrupt, and
 //     create-vs-adopt collisions tell the client how to resume;
 //   - disk-fault tolerance: an injected ENOSPC on one session's journal
-//     append degrades exactly that session (read-only status/checkpoint,
-//     structured error on mutation, never evicted) while other sessions
+//     append degrades exactly that session (read-only status, structured
+//     error on mutation, never evicted) while other sessions
 //     keep tuning, and the degraded session's durable prefix resumes
 //     cleanly after a restart;
 //   - fs fault-injection seam: typed IoError with the planned errno, skip
 //     budget, matched-op counter;
 //   - idempotent wire retries: a retried rid returns the recorded response
 //     byte-identically — no new tokens minted, no observation
-//     double-applied — and error responses are never cached;
+//     double-applied, no resume of an evicted session, one execution for
+//     concurrent retries — and error responses are never cached;
 //   - overload shedding: the per-session pending cap and the server
 //     connection cap both answer with the structured `overloaded` code;
 //   - graceful drain: drained servers answer everything already sent, then
-//     close; checkpoint_all covers every resident session;
+//     close;
 //   - the `health` verb reports resident/degraded/adopted/quarantined.
 #include <gtest/gtest.h>
 
@@ -43,6 +44,7 @@
 #include "service/json.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
+#include "manager_util.hpp"
 #include "test_util.hpp"
 
 namespace hpb {
@@ -91,7 +93,7 @@ SessionSpec spec_named(const std::string& name, std::size_t batch = 2,
 std::vector<core::Suggestion> run_round(SessionManager& manager,
                                         const std::string& name) {
   std::vector<core::Suggestion> suggestions =
-      manager.suggest(name, 0).suggestions;
+      testutil::suggest(manager, name, 0);
   std::vector<Observation> observations;
   observations.reserve(suggestions.size());
   for (const core::Suggestion& s : suggestions) {
@@ -100,7 +102,7 @@ std::vector<core::Suggestion> run_round(SessionManager& manager,
     o.y = testutil::separable_value(s.config);
     observations.push_back(std::move(o));
   }
-  manager.observe(name, observations);
+  testutil::observe(manager, name, observations);
   return suggestions;
 }
 
@@ -128,7 +130,7 @@ TEST(Recovery, StartupScanAdoptsResumableAndRecordsFinished) {
   EXPECT_EQ(restarted.health().adopted, 2u);
   // Adoption is lazy: nothing resident until a verb touches a name.
   EXPECT_EQ(restarted.health().resident, 0u);
-  EXPECT_EQ(restarted.status("alpha").evaluations, 2u);
+  EXPECT_EQ(testutil::status(restarted, "alpha").evaluations, 2u);
   EXPECT_EQ(restarted.health().resident, 1u);
 }
 
@@ -143,13 +145,13 @@ TEST(Recovery, AdoptedSessionContinuesBitwise) {
     // Open a round and crash with it unobserved: the journal holds a
     // `round` record with no observations, exactly the torn state a
     // SIGKILL mid-round leaves.
-    expected = manager.suggest("ref", 0).suggestions;
+    expected = testutil::suggest(manager, "ref", 0);
   }
   SessionManager restarted(test_factory(), {.journal_dir = dir});
   ASSERT_EQ(restarted.recovery().adopted.size(), 1u);
   // The incomplete round is dropped on replay and re-minted identically.
   const std::vector<core::Suggestion> resumed =
-      restarted.suggest("ref", 0).suggestions;
+      testutil::suggest(restarted, "ref", 0);
   ASSERT_EQ(resumed.size(), expected.size());
   for (std::size_t i = 0; i < resumed.size(); ++i) {
     EXPECT_EQ(resumed[i].config.values(), expected[i].config.values())
@@ -178,7 +180,7 @@ TEST(Recovery, CorruptJournalQuarantinedAtStartup) {
   EXPECT_EQ(restarted.health().quarantined, 1u);
   // The quarantined name is free again.
   restarted.create(spec_named("bad"));
-  EXPECT_EQ(restarted.status("bad").evaluations, 0u);
+  EXPECT_EQ(testutil::status(restarted, "bad").evaluations, 0u);
 }
 
 TEST(Recovery, CorruptJournalQuarantinedAtResumeTime) {
@@ -191,7 +193,7 @@ TEST(Recovery, CorruptJournalQuarantinedAtResumeTime) {
     bad << "garbage header\n";
   }
   try {
-    (void)manager.status("torn");
+    (void)testutil::status(manager, "torn");
     FAIL() << "expected the corrupt journal to fail the verb";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("quarantined"), std::string::npos)
@@ -200,7 +202,7 @@ TEST(Recovery, CorruptJournalQuarantinedAtResumeTime) {
   EXPECT_TRUE(std::filesystem::exists(dir + "/torn.hpbj.corrupt"));
   // The session is gone now — the same verb reports unknown, not corrupt.
   try {
-    (void)manager.status("torn");
+    (void)testutil::status(manager, "torn");
     FAIL() << "expected unknown session after quarantine";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown session"),
@@ -225,7 +227,7 @@ TEST(Recovery, CreateVsAdoptCollisionExplainsResume) {
         << e.what();
   }
   // Touching the name adopts it with its durable history intact.
-  EXPECT_EQ(restarted.status("keep").evaluations, 2u);
+  EXPECT_EQ(testutil::status(restarted, "keep").evaluations, 2u);
 }
 
 // --------------------------------------------------- disk-fault tolerance
@@ -275,7 +277,7 @@ TEST(FaultInjection, JournalFaultDegradesOnlyThatSession) {
 
   fs::set_fault_plan({.path_substring = "sick.hpbj", .error_number = ENOSPC});
   try {
-    (void)manager.suggest("sick", 0);
+    (void)testutil::suggest(manager, "sick", 0);
     FAIL() << "journal append should have failed";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("degraded"), std::string::npos)
@@ -286,10 +288,10 @@ TEST(FaultInjection, JournalFaultDegradesOnlyThatSession) {
   // The sick session is read-only now: status serves and says degraded,
   // mutation keeps failing with the structured story even though the disk
   // recovered (a restart is the documented way back).
-  const SessionStatus status = manager.status("sick");
+  const SessionStatus status = testutil::status(manager, "sick");
   EXPECT_TRUE(status.degraded);
   EXPECT_FALSE(status.degraded_reason.empty());
-  EXPECT_THROW((void)manager.suggest("sick", 0), Error);
+  EXPECT_THROW((void)testutil::suggest(manager, "sick", 0), Error);
   EXPECT_EQ(manager.health().degraded, 1u);
   EXPECT_EQ(manager.health().degraded, 1u);
 
@@ -299,15 +301,15 @@ TEST(FaultInjection, JournalFaultDegradesOnlyThatSession) {
 
   // Every other session keeps tuning through the same manager.
   run_round(manager, "healthy");
-  EXPECT_EQ(manager.status("healthy").evaluations, 2u);
-  EXPECT_FALSE(manager.status("healthy").degraded);
+  EXPECT_EQ(testutil::status(manager, "healthy").evaluations, 2u);
+  EXPECT_FALSE(testutil::status(manager, "healthy").degraded);
 
   // The durable prefix (everything before the fault) survives a restart.
   SessionManager restarted(test_factory(), {.journal_dir = dir});
-  EXPECT_EQ(restarted.status("sick").evaluations, 2u);
-  EXPECT_FALSE(restarted.status("sick").degraded);
+  EXPECT_EQ(testutil::status(restarted, "sick").evaluations, 2u);
+  EXPECT_FALSE(testutil::status(restarted, "sick").degraded);
   run_round(restarted, "sick");
-  EXPECT_EQ(restarted.status("sick").evaluations, 4u);
+  EXPECT_EQ(testutil::status(restarted, "sick").evaluations, 4u);
 }
 
 // --------------------------------------------------- idempotent retries
@@ -514,6 +516,59 @@ TEST(RidReplay, RidSchemaIsStrict) {
             "bad_request");  // rid is for mutating verbs only
 }
 
+// The window lives in the session's registry entry, which outlives
+// residency: a retry of an evicted session's request replays the recorded
+// bytes without resuming the session.
+TEST(RidReplay, RetryAfterEvictionReplays) {
+  const std::string dir = fresh_dir("rid_evicted");
+  SessionManager manager(wire_factory(), {.journal_dir = dir});
+  service::WireService wire(manager);
+  ok_json(wire.handle_line(create_line("s", 2, /*async=*/true)));
+  const std::string request =
+      "{\"verb\":\"suggest\",\"session\":\"s\",\"rid\":\"r-1\"}";
+  const std::string first = wire.handle_line(request);
+  ok_json(first);
+  ASSERT_TRUE(manager.evict("s"));
+  const std::uint64_t resumed = manager.health().resumed;
+  EXPECT_EQ(wire.handle_line(request), first);
+  EXPECT_EQ(manager.health().resumed, resumed);
+  EXPECT_EQ(manager.health().resident, 0u);
+  // The replay minted nothing: the resumed session holds the one batch.
+  const service::JsonValue status =
+      ok_json(wire.handle_line("{\"verb\":\"status\",\"session\":\"s\"}"));
+  EXPECT_EQ(status.find("status")->find("pending")->as_number(), 2.0);
+}
+
+TEST(RidReplay, ConcurrentSameRidExecutesOnce) {
+  const std::string dir = fresh_dir("rid_concurrent");
+  SessionManager manager(wire_factory(), {.journal_dir = dir});
+  service::WireService wire(manager);
+  ok_json(wire.handle_line(create_line("s", 1, /*async=*/true)));
+  const service::JsonValue suggest =
+      ok_json(wire.handle_line("{\"verb\":\"suggest\",\"session\":\"s\"}"));
+  const std::uint64_t token = static_cast<std::uint64_t>(
+      suggest.find("tokens")->as_array()[0].as_number());
+  const std::string observe =
+      "{\"verb\":\"observe\",\"session\":\"s\",\"rid\":\"o-1\","
+      "\"results\":[{\"token\":" + std::to_string(token) + ",\"y\":2.5}]}";
+  std::vector<std::string> replies(4);
+  std::vector<std::thread> clients;
+  for (std::string& reply : replies) {
+    clients.emplace_back([&] { reply = wire.handle_line(observe); });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  ok_json(replies[0]);
+  for (const std::string& reply : replies) {
+    EXPECT_EQ(reply, replies[0]);
+  }
+  const service::JsonValue status =
+      ok_json(wire.handle_line("{\"verb\":\"status\",\"session\":\"s\"}"));
+  EXPECT_EQ(status.find("status")->find("evaluations")->as_number(), 1.0);
+  EXPECT_EQ(status.find("status")->find("pending")->as_number(), 0.0);
+}
+
 // --------------------------------------------------- overload shedding
 
 TEST(Overload, AsyncPendingCapShedsSuggest) {
@@ -523,15 +578,16 @@ TEST(Overload, AsyncPendingCapShedsSuggest) {
   SessionSpec spec = spec_named("s");
   spec.mode = core::SessionMode::kAsync;
   manager.create(spec);
-  EXPECT_EQ(manager.suggest("s", 3).suggestions.size(), 3u);
-  EXPECT_THROW((void)manager.suggest("s", 1), OverloadError);
+  EXPECT_EQ(testutil::suggest(manager, "s", 3).size(), 3u);
+  EXPECT_THROW((void)testutil::suggest(manager, "s", 1), OverloadError);
   // The shed is stateless: observing one token frees one slot.
-  const SessionStatus status = manager.status("s");
+  const SessionStatus status = testutil::status(manager, "s");
   core::TokenResult result;
   result.token = status.pending_tokens[0];
   result.y = 2.0;
-  manager.observe("s", std::span<const core::TokenResult>(&result, 1));
-  EXPECT_EQ(manager.suggest("s", 1).suggestions.size(), 1u);
+  testutil::observe(manager, "s",
+                    std::span<const core::TokenResult>(&result, 1));
+  EXPECT_EQ(testutil::suggest(manager, "s", 1).size(), 1u);
 }
 
 TEST(Overload, PendingCapSurfacesAsOverloadedOnTheWire) {
@@ -688,16 +744,6 @@ TEST(Drain, AnswersEverythingSentThenCloses) {
   EXPECT_EQ(client.read_line(), "{\"ok\":true}");
   EXPECT_TRUE(client.wait_eof());
   server.stop();
-}
-
-TEST(Drain, CheckpointAllCoversEveryResidentSession) {
-  const std::string dir = fresh_dir("checkpoint");
-  SessionManager manager(test_factory(), {.journal_dir = dir});
-  manager.create(spec_named("a"));
-  manager.create(spec_named("b"));
-  manager.create(spec_named("c"));
-  run_round(manager, "a");
-  EXPECT_EQ(manager.checkpoint_all(), 3u);
 }
 
 // --------------------------------------------------- health verb

@@ -9,7 +9,10 @@
 //     through status();
 //   - SessionManager lifecycle: create / duplicate / invalid names,
 //     unknown sessions, close semantics, journal-on-disk collisions,
-//     LRU eviction with resume-on-touch, per-session metrics scopes;
+//     LRU eviction with resume-on-touch;
+//   - the session registry: max_resident is an exact cap whatever the
+//     names hash to, a resume blocks no other session and no health
+//     snapshot, and concurrent touches of one cold session resume it once;
 //   - eviction/resume equivalence: a session force-evicted (and therefore
 //     journal-replayed) at several points suggests the exact same
 //     configuration sequence as one kept hot, for hiperbot / geist /
@@ -20,13 +23,20 @@
 
 #include <bit>
 #include <cmath>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -39,6 +49,7 @@
 #include "eval/methods.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
+#include "manager_util.hpp"
 #include "test_util.hpp"
 
 namespace hpb {
@@ -165,9 +176,7 @@ TEST(SessionSplit, ManualSessionLoopMatchesEngineRunBitwise) {
     auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
     tuner->set_recorder(&recorder);
     Session session(*tuner,
-                    {.batch_size = kBatch,
-                     .recorder = recorder,
-                     .stop = {.max_evaluations = kBudget}},
+                    {.recorder = recorder, .stop = {.max_evaluations = kBudget}},
                     &journal);
     session.reserve(kBudget);
     while (session.evaluations() < kBudget) {
@@ -202,11 +211,10 @@ TEST(SessionSplit, ManualSessionLoopMatchesEngineRunBitwise) {
 
 // ------------------------------------------------------ session verb misuse
 
-Session make_plain_session(std::unique_ptr<core::Tuner>& keep,
-                           std::size_t batch = 2) {
+Session make_plain_session(std::unique_ptr<core::Tuner>& keep) {
   static auto ds = testutil::separable_dataset();
   keep = eval::make_named_tuner("random", ds, kSeed);
-  return Session(*keep, {.batch_size = batch, .stop = {.max_evaluations = 40}});
+  return Session(*keep, {.stop = {.max_evaluations = 40}});
 }
 
 std::vector<Observation> evaluate_all(
@@ -329,8 +337,7 @@ TEST(SessionErrors, VerbsAfterFinishThrow) {
 TEST(SessionStopping, TargetReachedSurfacesThroughStatus) {
   auto ds = testutil::separable_dataset();
   auto tuner = eval::make_named_tuner("random", ds, kSeed);
-  Session session(*tuner, {.batch_size = 4,
-                           .stop = {.max_evaluations = 200,
+  Session session(*tuner, {.stop = {.max_evaluations = 200,
                                     .target_value = 1.0}});
   while (!session.stopped()) {
     ASSERT_LT(session.evaluations(), 200u);
@@ -345,8 +352,7 @@ TEST(SessionStopping, TargetReachedSurfacesThroughStatus) {
 TEST(SessionStopping, StagnationPatienceSurfacesThroughStatus) {
   auto ds = testutil::separable_dataset();
   auto tuner = eval::make_named_tuner("random", ds, kSeed);
-  Session session(*tuner, {.batch_size = 1,
-                           .stop = {.max_evaluations = 1000,
+  Session session(*tuner, {.stop = {.max_evaluations = 1000,
                                     .stagnation_patience = 5}});
   while (!session.stopped() && session.evaluations() < 1000) {
     session.observe(evaluate_all(session.suggest(1)));
@@ -376,11 +382,12 @@ TEST(SessionManagerLifecycle, CreateSuggestObserveStatusClose) {
   EXPECT_EQ(manager.health().resident, 1u);
   EXPECT_EQ(manager.health().created, 1u);
 
-  auto batch = manager.suggest("run1", 2).suggestions;
+  auto batch = testutil::suggest(manager, "run1", 2);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(manager.status("run1").pending, 2u);
+  EXPECT_EQ(testutil::status(manager, "run1").pending, 2u);
 
-  const SessionStatus st = manager.observe("run1", evaluate_all(batch));
+  const SessionStatus st =
+      testutil::observe(manager, "run1", evaluate_all(batch));
   EXPECT_EQ(st.evaluations, 2u);
   EXPECT_EQ(st.rounds, 1u);
   EXPECT_EQ(st.pending, 0u);
@@ -391,7 +398,7 @@ TEST(SessionManagerLifecycle, CreateSuggestObserveStatusClose) {
   EXPECT_EQ(manager.health().closed, 1u);
   // The finalized journal still names the session: verbs and re-creation
   // both report it closed / taken.
-  EXPECT_THROW((void)manager.status("run1"), hpb::Error);
+  EXPECT_THROW((void)testutil::status(manager, "run1"), hpb::Error);
   EXPECT_THROW(manager.close("run1"), hpb::Error);
   EXPECT_THROW(manager.create(spec_named("run1", "random")), hpb::Error);
 }
@@ -408,21 +415,22 @@ TEST(SessionManagerLifecycle, InvalidNamesAndDuplicatesRejected) {
   core::validate_session_name("ok-1.2_3");
   manager.create(spec_named("dup", "random"));
   EXPECT_THROW(manager.create(spec_named("dup", "random")), hpb::Error);
-  EXPECT_THROW((void)manager.suggest("never-created", 1), hpb::Error);
+  EXPECT_THROW((void)testutil::suggest(manager, "never-created", 1),
+               hpb::Error);
 }
 
 TEST(SessionManagerLifecycle, EvictRefusesInFlightRounds) {
   SessionManager manager(test_factory(),
                          {.journal_dir = fresh_dir("mgr_inflight")});
   manager.create(spec_named("busy", "random"));
-  auto batch = manager.suggest("busy", 2).suggestions;
+  auto batch = testutil::suggest(manager, "busy", 2);
   // An unobserved round pins the session hot: evicting would orphan it.
   EXPECT_FALSE(manager.evict("busy"));
-  (void)manager.observe("busy", evaluate_all(batch));
+  (void)testutil::observe(manager, "busy", evaluate_all(batch));
   EXPECT_TRUE(manager.evict("busy"));
   EXPECT_EQ(manager.health().resident, 0u);
   // Resume-on-touch brings it back with its history intact.
-  EXPECT_EQ(manager.status("busy").evaluations, 2u);
+  EXPECT_EQ(testutil::status(manager, "busy").evaluations, 2u);
   EXPECT_EQ(manager.health().resumed, 1u);
 }
 
@@ -430,8 +438,8 @@ TEST(SessionManagerLifecycle, JournallessManagerNeverEvicts) {
   SessionManager manager(test_factory(), {});
   manager.create(spec_named("mem", "random"));
   EXPECT_TRUE(manager.journal_path("mem").empty());
-  (void)manager.observe("mem",
-                        evaluate_all(manager.suggest("mem", 2).suggestions));
+  (void)testutil::observe(manager, "mem",
+                          evaluate_all(testutil::suggest(manager, "mem", 2)));
   EXPECT_FALSE(manager.evict("mem"));  // nothing on disk to resume from
   manager.close("mem");
   // Without a journal, a closed name is forgotten and can be re-created.
@@ -441,38 +449,190 @@ TEST(SessionManagerLifecycle, JournallessManagerNeverEvicts) {
 TEST(SessionManagerLifecycle, LruEvictionKeepsResidencyBounded) {
   SessionManager manager(test_factory(),
                          {.journal_dir = fresh_dir("mgr_lru"),
-                          .max_resident = 2,
-                          .num_stripes = 1});
+                          .max_resident = 2});
   for (int i = 0; i < 5; ++i) {
     const std::string name = "lru" + std::to_string(i);
     manager.create(spec_named(name, "random"));
-    (void)manager.observe(name,
-                          evaluate_all(manager.suggest(name, 1).suggestions));
+    (void)testutil::observe(
+        manager, name, evaluate_all(testutil::suggest(manager, name, 1)));
   }
   EXPECT_LE(manager.health().resident, 2u);
   EXPECT_GE(manager.health().evicted, 3u);
   // Touching the oldest (coldest) session resumes it transparently.
-  EXPECT_EQ(manager.status("lru0").evaluations, 1u);
+  EXPECT_EQ(testutil::status(manager, "lru0").evaluations, 1u);
   EXPECT_GE(manager.health().resumed, 1u);
   EXPECT_LE(manager.health().resident, 2u);
 }
 
-TEST(SessionManagerLifecycle, PerSessionMetricsAreScoped) {
-  SessionManager manager(test_factory(),
-                         {.journal_dir = fresh_dir("mgr_metrics")});
-  manager.create(spec_named("two-rounds", "random"));
-  manager.create(spec_named("one-round", "random"));
-  for (int round = 0; round < 2; ++round) {
-    const auto batch = manager.suggest("two-rounds", 2).suggestions;
-    (void)manager.observe("two-rounds", evaluate_all(batch));
+// ------------------------------------------------------ session registry
+
+/// The 16-way split of names by std::hash that a striped registry would
+/// use; the registry tests pick names that collide (or not) under it.
+std::size_t hash_slot(const std::string& name) {
+  return std::hash<std::string>{}(name) % 16;
+}
+
+/// `count` names "<prefix><i>" whose hash slots are pairwise distinct.
+std::vector<std::string> names_in_distinct_slots(const std::string& prefix,
+                                                 std::size_t count) {
+  std::vector<std::string> names;
+  std::set<std::size_t> used;
+  for (int i = 0; names.size() < count; ++i) {
+    const std::string name = prefix + std::to_string(i);
+    if (used.insert(hash_slot(name)).second) {
+      names.push_back(name);
+    }
   }
-  (void)manager.observe(
-      "one-round", evaluate_all(manager.suggest("one-round", 2).suggestions));
-  const std::string two = manager.session_metrics_json("two-rounds");
-  const std::string one = manager.session_metrics_json("one-round");
-  EXPECT_NE(two.find("engine.evaluations"), std::string::npos);
-  EXPECT_NE(one.find("engine.evaluations"), std::string::npos);
-  EXPECT_NE(two, one) << "sessions must not share a metrics registry";
+  return names;
+}
+
+/// A name other than `name` in the same hash slot.
+std::string slot_mate(const std::string& name) {
+  for (int i = 0;; ++i) {
+    const std::string mate = "mate" + std::to_string(i);
+    if (hash_slot(mate) == hash_slot(name)) {
+      return mate;
+    }
+  }
+}
+
+void run_manager_round(SessionManager& manager, const std::string& name) {
+  (void)testutil::observe(manager, name,
+                          evaluate_all(testutil::suggest(manager, name, 0)));
+}
+
+TEST(SessionManagerRegistry, ResidencyCapIsExact) {
+  {
+    // Two live sessions, sixteen slots: neither is ever evicted, whatever
+    // their names hash to.
+    SessionManager manager(test_factory(),
+                           {.journal_dir = fresh_dir("reg_cap_pair"),
+                            .max_resident = 16});
+    const std::string a = "a0";
+    const std::string b = slot_mate(a);
+    manager.create(spec_named(a, "random"));
+    manager.create(spec_named(b, "random"));
+    for (int trip = 0; trip < 4; ++trip) {
+      run_manager_round(manager, a);
+      run_manager_round(manager, b);
+    }
+    EXPECT_EQ(manager.health().evicted, 0u);
+    EXPECT_EQ(manager.health().resumed, 0u);
+    EXPECT_EQ(manager.health().resident, 2u);
+  }
+  {
+    // Sixteen idle sessions against eight slots: at most eight stay
+    // resident, whatever their names hash to.
+    SessionManager manager(test_factory(),
+                           {.journal_dir = fresh_dir("reg_cap_spread"),
+                            .max_resident = 8});
+    for (const std::string& name : names_in_distinct_slots("s", 16)) {
+      manager.create(spec_named(name, "random"));
+      run_manager_round(manager, name);
+    }
+    EXPECT_LE(manager.health().resident, 8u);
+    EXPECT_EQ(manager.health().evicted, 8u);
+  }
+}
+
+/// Wraps test_factory(): while armed, a build for `name` blocks until
+/// released, so a test can hold a resume mid-flight.
+struct BlockingFactory {
+  std::mutex m;
+  std::condition_variable cv;
+  std::string name;
+  bool armed = false;
+  bool entered = false;
+  bool released = false;
+  std::atomic<int> builds{0};
+
+  core::SessionFactory factory() {
+    return [this, inner = test_factory()](const SessionSpec& spec) {
+      {
+        std::unique_lock<std::mutex> lock(m);
+        if (armed && spec.name == name) {
+          ++builds;
+          entered = true;
+          cv.notify_all();
+          cv.wait(lock, [this] { return released; });
+        }
+      }
+      return inner(spec);
+    };
+  }
+  void arm(const std::string& blocked) {
+    std::lock_guard<std::mutex> lock(m);
+    name = blocked;
+    armed = true;
+  }
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [this] { return entered; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(m);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+constexpr auto kVerbTimeout = std::chrono::seconds(5);
+
+TEST(SessionManagerRegistry, ResumeDoesNotBlockOtherSessions) {
+  BlockingFactory blocking;
+  SessionManager manager(blocking.factory(),
+                         {.journal_dir = fresh_dir("reg_resume_block")});
+  const std::string cold = "cold0";
+  const std::string hot = slot_mate(cold);
+  manager.create(spec_named(cold, "random"));
+  manager.create(spec_named(hot, "random"));
+  run_manager_round(manager, cold);
+  ASSERT_TRUE(manager.evict(cold));
+  blocking.arm(cold);
+  std::future<SessionStatus> resuming = std::async(
+      std::launch::async, [&] { return testutil::status(manager, cold); });
+  blocking.wait_entered();
+  // The factory is now rebuilding `cold`; a verb on a session that shares
+  // its hash slot must not wait for it.
+  std::future<SessionStatus> other = std::async(std::launch::async, [&] {
+    run_manager_round(manager, hot);
+    return testutil::status(manager, hot);
+  });
+  const bool finished =
+      other.wait_for(kVerbTimeout) == std::future_status::ready;
+  blocking.release();
+  EXPECT_TRUE(finished) << "a verb on another session waited on a resume";
+  EXPECT_EQ(other.get().evaluations, 2u);
+  EXPECT_EQ(resuming.get().evaluations, 2u);
+}
+
+TEST(SessionManagerRegistry, ConcurrentTouchResumesOnce) {
+  BlockingFactory blocking;
+  SessionManager manager(blocking.factory(),
+                         {.journal_dir = fresh_dir("reg_resume_once")});
+  manager.create(spec_named("once", "random"));
+  run_manager_round(manager, "once");
+  ASSERT_TRUE(manager.evict("once"));
+  blocking.arm("once");
+  const auto touch = [&] { return testutil::status(manager, "once"); };
+  std::future<SessionStatus> first = std::async(std::launch::async, touch);
+  blocking.wait_entered();
+  std::future<SessionStatus> second = std::async(std::launch::async, touch);
+  // While the resume is mid-build, health answers without waiting for it
+  // and does not count the half-built session as resident.
+  std::future<core::ManagerHealth> during = std::async(
+      std::launch::async, [&] { return manager.health(); });
+  const bool answered =
+      during.wait_for(kVerbTimeout) == std::future_status::ready;
+  blocking.release();
+  EXPECT_TRUE(answered) << "health waited on a resume";
+  const core::ManagerHealth mid = during.get();
+  EXPECT_EQ(mid.resident, 0u);
+  EXPECT_EQ(mid.resumed, 0u);
+  EXPECT_EQ(first.get().evaluations, 2u);
+  EXPECT_EQ(second.get().evaluations, 2u);
+  EXPECT_EQ(manager.health().resumed, 1u);
+  EXPECT_EQ(blocking.builds.load(), 1);
 }
 
 // ------------------------------------------- eviction/resume equivalence
@@ -498,7 +658,7 @@ DrivenRun drive_managed(const std::string& method,
   manager.create(spec);
   DrivenRun run;
   for (std::size_t round = 0; round < kRounds; ++round) {
-    auto batch = manager.suggest("equiv", kBatch).suggestions;
+    auto batch = testutil::suggest(manager, "equiv", kBatch);
     std::vector<Observation> observations;
     for (auto& [token, c] : batch) {
       run.suggested.push_back(c.values());
@@ -512,7 +672,7 @@ DrivenRun drive_managed(const std::string& method,
       }
     }
     const SessionStatus st =
-        manager.observe("equiv", std::move(observations));
+        testutil::observe(manager, "equiv", std::move(observations));
     run.best = st.best_value;
     if (evict_after.count(round) != 0) {
       EXPECT_TRUE(manager.evict("equiv")) << method << " round " << round;

@@ -14,8 +14,8 @@
 //     parser or the router, and a rejected mutant changes no state;
 //   - the LineServer round-trips requests over real Unix-domain and TCP
 //     sockets, keeps a connection alive across malformed requests, caps
-//     line length, serves concurrent clients (TSan exercises the striped
-//     manager underneath), and shuts down cleanly with clients connected.
+//     line length, serves concurrent clients (TSan exercises the manager's
+//     registry underneath), and shuts down cleanly with clients connected.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>

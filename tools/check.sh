@@ -20,8 +20,9 @@
 # (tests/test_simd.cpp), re-run with HPB_SIMD forced to every tier this
 # machine can execute; then a ThreadSanitizer build running the concurrency-sensitive
 # subset (engine, thread pool, watchdog, shutdown, metrics hot path,
-# session manager, line server, recovery/overload/drain, the session
-# model stress test, stream pass thread-count invariance); then a
+# session manager and its registry, line server, recovery/rid
+# replay/overload/drain, the session model stress test, stream pass
+# thread-count invariance); then a
 # fault-injected
 # shootout smoke run (HPB_FAIL_RATE=0.2), a CLI crash-resume smoke
 # (journal a run, truncate the journal mid-record, resume, and require
@@ -80,7 +81,7 @@ cmake -B build-tsan -S . -DHPB_SANITIZE=thread \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" --no-tests=error \
-  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|SessionModel'
+  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|RidReplay|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|SessionModel'
 
 
 echo

@@ -121,8 +121,8 @@ void handle_shutdown_signal(int) {
 }
 
 // `serve` distinguishes the two shutdown signals: SIGTERM requests a
-// graceful drain (stop accepting, answer everything already sent,
-// checkpoint, exit), SIGINT a prompt stop. Both are only flag stores.
+// graceful drain (stop accepting, answer everything already sent, exit),
+// SIGINT a prompt stop. Both are only flag stores.
 std::atomic<bool> g_drain{false};
 static_assert(std::atomic<bool>::is_always_lock_free);
 
@@ -446,11 +446,9 @@ int cmd_serve(const hpb::cli::ArgParser& args) {
   server.serve();
   if (g_drain.load(std::memory_order_relaxed) &&
       !g_stop.load(std::memory_order_relaxed)) {
-    // Journals are fsync'd per record; the checkpoint sweep verifies every
-    // resident session's durability before the process exits.
-    const std::size_t checkpointed = manager.checkpoint_all();
-    std::cout << "drained; checkpointed " << checkpointed
-              << " resident sessions\n";
+    // Journals are fsync'd per record: every acknowledged verb is already
+    // durable, so a drain has nothing left to flush.
+    std::cout << "drained\n";
   }
   server.stop();
   const hpb::core::ManagerHealth health = manager.health();

@@ -1,41 +1,35 @@
-// Load generator for the tuning service: drives thousands of interleaved
-// sessions through a real LineServer socket and reports wire-level
-// latency.
+// Chaos harness for the tuning service: proves that a daemon SIGKILLed
+// mid-storm comes back with every session intact.
 //
-// Topology: one in-process SessionManager (journal-backed, LRU-evicting)
-// behind a WireService + LineServer on a Unix socket; N worker threads,
-// each holding one connection and a *window* of open sessions it
-// round-robins across. The window interleaving is the point — a session is
-// touched, left idle while its worker serves the rest of the window, and
-// touched again, which is exactly the access pattern that drives LRU
-// eviction and journal resume when max_resident < workers × window. Each
-// session runs create → (suggest → evaluate client-side → observe)* →
-// close for a fixed number of evaluations.
+// The daemon runs as a *separate process* (this binary re-exec'd with
+// --serve-child), journaling every session and holding at most
+// kMaxResident of them in memory, fewer than the storm's sessions, so
+// sessions are evicted and resumed from their journals throughout. A client
+// drives interleaved sync sessions round-robin (create, then suggest →
+// evaluate client-side → observe until the budget, then close). Two passes
+// run the same storm:
+//   - the reference pass against an unharmed daemon records every
+//     session's suggest sequence;
+//   - the kill pass SIGKILLs the daemon once half the suggests are
+//     answered, with a window of unobserved rounds in flight, restarts it
+//     on the same session dir, resyncs every client from `status`, and
+//     finishes the storm.
+// The verdict: the kill pass's suggest sequences are bitwise-identical to
+// the reference (rounds lost in the crash are re-suggested identically),
+// at least one round was re-suggested, and in both passes the daemon's
+// `health` verb reports sessions evicted and resumed. The kill→healthy
+// recovery latency is measured through `health` as well.
 //
 // All run artifacts (socket, session journals) live in a private mkdtemp
 // directory that is removed on every exit path — normal return, die(),
-// SIGINT/SIGTERM — so an interrupted bench never litters the repository
-// with stray sockets.
+// SIGINT/SIGTERM — so an interrupted run never litters the repository
+// with stray sockets or orphan daemons.
 //
-// --chaos adds a survivability proof: the daemon runs as a *separate
-// process* (this binary re-exec'd with --serve-child), a reference pass
-// records every session's suggest sequence against an unharmed daemon,
-// then a second pass SIGKILLs the daemon mid-storm, restarts it on the
-// same session dir, resyncs every client from `status`, and requires the
-// completed suggest sequences to be bitwise-identical to the reference —
-// plus it measures kill→healthy recovery latency via the `health` verb.
+// Latency and throughput of the daemon are measured by perfbench
+// (`python3 perfbench/run.py --workload svc_evict|svc_async`), not here.
 //
-// Reported (and written as JSON): client-observed p50/p99/mean latency per
-// verb, sessions/sec, suggests/sec, the manager's eviction/resume
-// counters, and (with --chaos) recovery latency and the bitwise verdict,
-// so a perf or durability regression shows up as a number, not a feeling.
-//
-// Usage: service_storm [--smoke] [--chaos] [--sessions N] [--workers N]
-//                      [--window N] [--evals N] [--batch N]
-//                      [--max-resident N] [--method NAME] [--dataset NAME]
-//                      [--out PATH]
-//   --smoke   tiny run (CI wiring check, label `bench`)
-//   --chaos   kill/restart survivability phase (spawns child daemons)
+// Usage: service_storm [--smoke] [--out PATH]
+//   --smoke   8 sessions instead of 32 (CI wiring check, label `bench`)
 //   --out     JSON output path (default BENCH_service.json)
 #include <csignal>
 #include <sys/socket.h>
@@ -52,6 +46,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,21 +65,29 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t elapsed_ns(Clock::time_point a, Clock::time_point b) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+double elapsed_ms(Clock::time_point since) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - since)
+      .count();
 }
+
+/// The storm's sessions: `random` on kripke, two suggestions a round.
+constexpr const char* kDataset = "kripke";
+constexpr const char* kMethod = "random";
+constexpr std::size_t kBatch = 2;
+/// The daemon's residency cap, below every storm's session count, so both
+/// passes run through eviction and journal resume.
+constexpr std::size_t kMaxResident = 4;
 
 // ---------------------------------------------------------------------------
 // Run-artifact cleanup, robust against every exit path.
 //
 // The signal handler may only touch async-signal-safe calls: it kills the
-// chaos child (so no orphan daemon outlives the bench), unlinks the bound
-// sockets, and _exits. The full temp-dir removal runs on the normal and
+// child daemon (so no orphan outlives the harness), unlinks the bound
+// socket, and _exits. The full temp-dir removal runs on the normal and
 // die() paths, where std::filesystem is allowed.
 
 char g_temp_dir[512] = "";
-char g_socket_paths[2][512] = {"", ""};
+char g_socket_path[512] = "";
 std::atomic<int> g_child_pid{0};
 
 void storm_signal_handler(int) {
@@ -92,10 +95,8 @@ void storm_signal_handler(int) {
   if (child > 0) {
     ::kill(child, SIGKILL);
   }
-  for (const char* path : g_socket_paths) {
-    if (path[0] != '\0') {
-      ::unlink(path);
-    }
+  if (g_socket_path[0] != '\0') {
+    ::unlink(g_socket_path);
   }
   ::_exit(130);
 }
@@ -119,9 +120,10 @@ void remove_run_artifacts() {
   std::exit(1);
 }
 
-void register_socket_path(std::size_t slot, const std::string& path) {
-  if (slot < 2 && path.size() < sizeof(g_socket_paths[0])) {
-    std::memcpy(g_socket_paths[slot], path.c_str(), path.size() + 1);
+/// Copy `value` into a fixed buffer the signal handler can read.
+void set_signal_path(char (&buffer)[512], const std::string& value) {
+  if (value.size() < sizeof(buffer)) {
+    std::memcpy(buffer, value.c_str(), value.size() + 1);
   }
 }
 
@@ -136,15 +138,13 @@ std::string make_temp_dir() {
     die("mkdtemp '" + tmpl + "': " + std::strerror(errno));
   }
   const std::string dir(buf.data());
-  if (dir.size() < sizeof(g_temp_dir)) {
-    std::memcpy(g_temp_dir, dir.c_str(), dir.size() + 1);
-  }
+  set_signal_path(g_temp_dir, dir);
   return dir;
 }
 
 /// Blocking line-oriented client over a Unix socket. `fatal` clients die()
 /// on any socket error; non-fatal ones report it through connected() /
-/// empty rpc() results (the chaos pass expects the daemon to vanish).
+/// empty rpc() results (the kill pass expects the daemon to vanish).
 class LineClient {
  public:
   explicit LineClient(const std::string& path, bool fatal = true)
@@ -236,84 +236,7 @@ service::JsonValue expect_ok(const std::string& response) {
   return v;
 }
 
-struct Percentiles {
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double mean_ms = 0.0;
-  std::size_t count = 0;
-};
-
-Percentiles summarize(std::vector<std::uint64_t>& ns) {
-  Percentiles out;
-  out.count = ns.size();
-  if (ns.empty()) {
-    return out;
-  }
-  std::sort(ns.begin(), ns.end());
-  const auto at = [&](double q) {
-    const std::size_t i = std::min(
-        ns.size() - 1, static_cast<std::size_t>(q * double(ns.size() - 1)));
-    return static_cast<double>(ns[i]) * 1e-6;
-  };
-  out.p50_ms = at(0.50);
-  out.p99_ms = at(0.99);
-  double sum = 0.0;
-  for (const std::uint64_t v : ns) {
-    sum += static_cast<double>(v);
-  }
-  out.mean_ms = sum * 1e-6 / static_cast<double>(ns.size());
-  return out;
-}
-
-struct Options {
-  std::size_t sessions = 10000;
-  std::size_t workers = 8;
-  std::size_t window = 32;
-  std::size_t evals = 6;
-  std::size_t batch = 2;
-  std::size_t max_resident = 128;
-  /// Evaluations per mode in the async-vs-sync throughput comparison
-  /// (straggler-skewed simulated evaluation times).
-  std::size_t compare_evals = 400;
-  std::string method = "random";
-  std::string dataset = "kripke";
-  std::string out = "BENCH_service.json";
-  bool smoke = false;
-  bool chaos = false;
-  /// This binary's own path (argv[0]); --chaos re-execs it with
-  /// --serve-child to host the daemon out of process.
-  std::string self;
-};
-
-// ---------------------------------------------------------------------------
-// Async-vs-sync throughput comparison.
-//
-// Simulated straggler-skewed evaluation times (deterministic per eval
-// index): most evaluations are fast, a few are stragglers an order of
-// magnitude slower — the skew every shared HPC queue produces. A sync
-// client must hold the whole round open until its slowest member returns;
-// an async client observes each completion as it lands and immediately
-// refills the slot with suggest count=1, so a straggler occupies one slot
-// instead of stalling the round.
-
-constexpr double kShortEvalMs = 0.2;
-constexpr double kStragglerEvalMs = 8.0;
-constexpr std::uint64_t kStragglerOneIn = 10;  // 10% stragglers
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-double eval_delay_ms(std::uint64_t seed, std::uint64_t index) {
-  return splitmix64(seed * 0x100000001B3ULL + index) % kStragglerOneIn == 0
-             ? kStragglerEvalMs
-             : kShortEvalMs;
-}
-
-/// Parse one suggest/observe response's configs into value vectors.
+/// Parse one suggest response's configs into value vectors.
 std::vector<std::vector<double>> parse_configs(
     const service::JsonValue& response) {
   std::vector<std::vector<double>> out;
@@ -346,222 +269,19 @@ double evaluate_values(tabular::TabularObjective& dataset,
   return dataset.evaluate_result(config).value;
 }
 
-/// Sync mode: whole rounds, each held open for its slowest member.
-double run_compare_sync(const std::string& socket_path,
-                        tabular::TabularObjective& dataset,
-                        const Options& opt, std::size_t evals,
-                        std::size_t batch) {
-  LineClient client(socket_path);
-  expect_ok(client.rpc(
-      "{\"verb\":\"create\",\"session\":\"cmp_sync\",\"dataset\":\"" +
-      opt.dataset + "\",\"method\":\"hiperbot\",\"batch_size\":" +
-      std::to_string(batch) + ",\"max_evaluations\":" +
-      std::to_string(evals) + ",\"seed\":1}"));
-  const auto t0 = Clock::now();
-  std::size_t done = 0;
-  std::uint64_t index = 0;
-  while (done < evals) {
-    const service::JsonValue suggest = expect_ok(
-        client.rpc("{\"verb\":\"suggest\",\"session\":\"cmp_sync\"}"));
-    const std::vector<std::vector<double>> configs = parse_configs(suggest);
-    double round_ms = 0.0;
-    std::string results = "[";
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      round_ms = std::max(round_ms, eval_delay_ms(1, index++));
-      if (i > 0) {
-        results += ',';
-      }
-      results += "{\"config\":" + config_json(configs[i]) + ",\"y\":" +
-                 obs::json_double(evaluate_values(dataset, configs[i])) + "}";
-    }
-    results += ']';
-    // The round completes when its slowest evaluation does.
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(round_ms));
-    expect_ok(client.rpc("{\"verb\":\"observe\",\"session\":\"cmp_sync\","
-                         "\"results\":" + results + "}"));
-    done += configs.size();
-  }
-  const double wall_s =
-      static_cast<double>(elapsed_ns(t0, Clock::now())) * 1e-9;
-  expect_ok(client.rpc("{\"verb\":\"close\",\"session\":\"cmp_sync\"}"));
-  return wall_s;
-}
-
-/// Async mode: a window of outstanding tokens; each completion is observed
-/// the moment it lands and its slot refilled with suggest count=1.
-double run_compare_async(const std::string& socket_path,
-                         tabular::TabularObjective& dataset,
-                         const Options& opt, std::size_t evals,
-                         std::size_t batch) {
-  LineClient client(socket_path);
-  expect_ok(client.rpc(
-      "{\"verb\":\"create\",\"session\":\"cmp_async\",\"dataset\":\"" +
-      opt.dataset + "\",\"method\":\"hiperbot\",\"mode\":\"async\","
-      "\"batch_size\":" + std::to_string(batch) + ",\"max_evaluations\":" +
-      std::to_string(evals) + ",\"seed\":1}"));
-  struct InFlight {
-    Clock::time_point ready;
-    std::uint64_t token = 0;
-    double y = 0.0;
-  };
-  const auto later = [](const InFlight& a, const InFlight& b) {
-    return a.ready > b.ready;
-  };
-  std::vector<InFlight> heap;  // min-heap on completion time
-  const auto t0 = Clock::now();
-  std::uint64_t index = 0;
-  std::size_t issued = 0;
-  const auto issue = [&](std::size_t count) {
-    const service::JsonValue suggest = expect_ok(client.rpc(
-        "{\"verb\":\"suggest\",\"session\":\"cmp_async\",\"count\":" +
-        std::to_string(count) + "}"));
-    const std::vector<std::vector<double>> configs = parse_configs(suggest);
-    const auto& tokens = suggest.find("tokens")->as_array();
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      InFlight f;
-      f.ready = Clock::now() +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        eval_delay_ms(1, index++)));
-      f.token = static_cast<std::uint64_t>(tokens[i].as_number());
-      f.y = evaluate_values(dataset, configs[i]);
-      heap.push_back(f);
-      std::push_heap(heap.begin(), heap.end(), later);
-      ++issued;
-    }
-  };
-  issue(batch);
-  std::size_t done = 0;
-  while (done < evals) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const InFlight f = heap.back();
-    heap.pop_back();
-    std::this_thread::sleep_until(f.ready);
-    expect_ok(client.rpc(
-        "{\"verb\":\"observe\",\"session\":\"cmp_async\",\"results\":"
-        "[{\"token\":" + std::to_string(f.token) + ",\"y\":" +
-        obs::json_double(f.y) + "}]}"));
-    ++done;
-    if (issued < evals) {
-      issue(1);
-    }
-  }
-  const double wall_s =
-      static_cast<double>(elapsed_ns(t0, Clock::now())) * 1e-9;
-  expect_ok(client.rpc("{\"verb\":\"close\",\"session\":\"cmp_async\"}"));
-  return wall_s;
-}
-
-struct WorkerStats {
-  std::vector<std::uint64_t> suggest_ns;
-  std::vector<std::uint64_t> observe_ns;
-  std::size_t sessions_completed = 0;
+struct Options {
+  std::string out = "BENCH_service.json";
+  bool smoke = false;
+  /// This binary's own path (argv[0]); it is re-exec'd with --serve-child
+  /// to host the daemon out of process.
+  std::string self;
 };
-
-/// One open session as the client sees it: its name and how far along it
-/// is.
-struct SlotState {
-  std::string name;
-  std::size_t evals_done = 0;
-  bool active = false;
-};
-
-void run_worker(const Options& opt, const std::string& socket_path,
-                tabular::TabularObjective& dataset,
-                std::atomic<std::size_t>& next_session, WorkerStats& stats) {
-  LineClient client(socket_path);
-  std::vector<SlotState> window(opt.window);
-  const std::string create_suffix =
-      std::string("\",\"dataset\":\"") + opt.dataset + "\",\"method\":\"" +
-      opt.method + "\",\"batch_size\":" + std::to_string(opt.batch) +
-      ",\"max_evaluations\":" + std::to_string(opt.evals) + ",\"seed\":";
-
-  std::size_t active = 0;
-  bool draining = false;
-  std::size_t slot = 0;
-  while (true) {
-    // Fill empty slots with fresh sessions until the global quota is out.
-    if (!draining) {
-      for (SlotState& s : window) {
-        if (s.active) {
-          continue;
-        }
-        const std::size_t id =
-            next_session.fetch_add(1, std::memory_order_relaxed);
-        if (id >= opt.sessions) {
-          draining = true;
-          break;
-        }
-        s.name = "s" + std::to_string(id);
-        s.evals_done = 0;
-        s.active = true;
-        ++active;
-        expect_ok(client.rpc("{\"verb\":\"create\",\"session\":\"" + s.name +
-                             create_suffix + std::to_string(id) + "}"));
-      }
-    }
-    if (active == 0) {
-      return;  // drained: every session this worker owned is closed
-    }
-    // Round-robin: one suggest/observe round for the next active slot.
-    while (!window[slot % opt.window].active) {
-      ++slot;
-    }
-    SlotState& s = window[slot % opt.window];
-    ++slot;
-
-    const auto t0 = Clock::now();
-    const service::JsonValue suggest = expect_ok(
-        client.rpc("{\"verb\":\"suggest\",\"session\":\"" + s.name + "\"}"));
-    stats.suggest_ns.push_back(elapsed_ns(t0, Clock::now()));
-
-    // Evaluate client-side against the same tabular dataset the service
-    // tunes over — the remote-evaluation split the service exists for.
-    std::string results = "[";
-    const auto& configs = suggest.find("configs")->as_array();
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      const auto& values = configs[i].as_array();
-      space::Configuration config;
-      config.values().reserve(values.size());
-      std::string config_json = "[";
-      for (std::size_t j = 0; j < values.size(); ++j) {
-        config.values().push_back(values[j].as_number());
-        config_json +=
-            (j > 0 ? "," : "") + obs::json_double(values[j].as_number());
-      }
-      config_json += ']';
-      const tabular::EvalResult r = dataset.evaluate_result(config);
-      if (i > 0) {
-        results += ',';
-      }
-      results += "{\"config\":" + config_json +
-                 ",\"y\":" + obs::json_double(r.value) + "}";
-    }
-    results += ']';
-    s.evals_done += configs.size();
-
-    const auto t1 = Clock::now();
-    expect_ok(client.rpc("{\"verb\":\"observe\",\"session\":\"" + s.name +
-                         "\",\"results\":" + results + "}"));
-    stats.observe_ns.push_back(elapsed_ns(t1, Clock::now()));
-
-    if (s.evals_done >= opt.evals) {
-      expect_ok(client.rpc("{\"verb\":\"close\",\"session\":\"" + s.name +
-                           "\"}"));
-      s.active = false;
-      --active;
-      ++stats.sessions_completed;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
-// Chaos phase: out-of-process daemon, SIGKILL mid-storm, restart, verify.
+// The daemon: exactly what `hiperbot serve --max-resident kMaxResident`
+// does, hosted by this binary so the harness needs no second executable.
+// Runs until SIGTERM (clean shutdown) — or SIGKILL, which is the point.
 
-/// The daemon half of --chaos: exactly what `hiperbot serve` does, hosted
-/// by this binary so the bench needs no second executable. Runs until
-/// SIGTERM (clean shutdown) — or SIGKILL, which is the point.
 std::atomic<bool> g_serve_child_stop{false};
 static_assert(std::atomic<bool>::is_always_lock_free);
 
@@ -575,6 +295,7 @@ int run_serve_child(const std::string& socket_path,
   std::signal(SIGINT, serve_child_signal);
   core::SessionManagerConfig mconfig;
   mconfig.journal_dir = session_dir;
+  mconfig.max_resident = kMaxResident;
   core::SessionManager manager(service::dataset_session_factory(),
                                std::move(mconfig));
   service::WireService wire(manager);
@@ -586,8 +307,8 @@ int run_serve_child(const std::string& socket_path,
   return 0;
 }
 
-int spawn_daemon(const Options& opt, const std::string& socket_path,
-                 const std::string& session_dir) {
+void spawn_daemon(const Options& opt, const std::string& socket_path,
+                  const std::string& session_dir) {
   const pid_t pid = ::fork();
   if (pid < 0) {
     die("fork: " + std::string(std::strerror(errno)));
@@ -600,41 +321,37 @@ int spawn_daemon(const Options& opt, const std::string& socket_path,
     ::_exit(127);
   }
   g_child_pid.store(pid, std::memory_order_relaxed);
-  return pid;
 }
 
-void kill_daemon(int pid, int signum) {
+void kill_daemon(int signum) {
+  const int pid = g_child_pid.exchange(0, std::memory_order_relaxed);
   ::kill(pid, signum);
   ::waitpid(pid, nullptr, 0);
-  g_child_pid.store(0, std::memory_order_relaxed);
 }
 
-/// Poll the `health` verb until the daemon answers; returns ms from call
-/// to first healthy response — the kill→serving recovery latency when
-/// called right after a restart exec.
-double wait_healthy(const std::string& socket_path, std::uint64_t* adopted,
-                    int timeout_ms = 30000) {
+/// The daemon's `health` object, polled until it answers: right after a
+/// spawn, the wait is the daemon's startup (journal scan) latency.
+service::JsonValue wait_healthy(const std::string& socket_path) {
+  constexpr double kTimeoutMs = 30000.0;
   const auto t0 = Clock::now();
   while (true) {
     LineClient probe(socket_path, /*fatal=*/false);
     if (probe.connected()) {
       const std::string response = probe.rpc("{\"verb\":\"health\"}");
       if (!response.empty()) {
-        const service::JsonValue v = expect_ok(response);
-        if (adopted != nullptr) {
-          *adopted = static_cast<std::uint64_t>(
-              v.find("health")->find("adopted")->as_number());
-        }
-        return static_cast<double>(elapsed_ns(t0, Clock::now())) * 1e-6;
+        return *expect_ok(response).find("health");
       }
     }
-    if (static_cast<double>(elapsed_ns(t0, Clock::now())) * 1e-6 >
-        static_cast<double>(timeout_ms)) {
-      die("daemon did not become healthy within " +
-          std::to_string(timeout_ms) + "ms");
+    if (elapsed_ms(t0) > kTimeoutMs) {
+      die("daemon did not become healthy within 30000ms");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+}
+
+std::uint64_t health_count(const service::JsonValue& health,
+                           const char* key) {
+  return static_cast<std::uint64_t>(health.find(key)->as_number());
 }
 
 struct ChaosStats {
@@ -642,11 +359,14 @@ struct ChaosStats {
   std::uint64_t adopted_after_restart = 0;
   std::size_t resuggested_rounds = 0;
   std::size_t rounds = 0;
+  /// The last daemon's `health` counters at the end of the pass.
+  std::uint64_t evicted = 0;
+  std::uint64_t resumed = 0;
 };
 
 /// Per-session suggest sequences: seq[name][round] is the canonical JSON
 /// of that round's configs. Bitwise equality of these across the reference
-/// and chaos passes is the survivability verdict.
+/// and kill passes is the survivability verdict.
 using SuggestSequences = std::map<std::string, std::vector<std::string>>;
 
 /// Drive `sessions` interleaved sync sessions against an out-of-process
@@ -659,11 +379,10 @@ SuggestSequences run_chaos_pass(const Options& opt,
                                 const std::string& session_dir,
                                 tabular::TabularObjective& dataset,
                                 std::size_t sessions, std::size_t evals,
-                                std::size_t batch,
                                 std::size_t kill_after_suggests,
-                                ChaosStats* stats) {
+                                ChaosStats& stats) {
   spawn_daemon(opt, socket_path, session_dir);
-  wait_healthy(socket_path, nullptr);
+  (void)wait_healthy(socket_path);
   auto client = std::make_unique<LineClient>(socket_path);
 
   struct ChaosSlot {
@@ -686,8 +405,8 @@ SuggestSequences run_chaos_pass(const Options& opt,
   std::size_t unfinished = sessions;
 
   const std::string create_suffix =
-      std::string("\",\"dataset\":\"") + opt.dataset + "\",\"method\":\"" +
-      opt.method + "\",\"batch_size\":" + std::to_string(batch) +
+      std::string("\",\"dataset\":\"") + kDataset + "\",\"method\":\"" +
+      kMethod + "\",\"batch_size\":" + std::to_string(kBatch) +
       ",\"max_evaluations\":" + std::to_string(evals) + ",\"seed\":";
 
   const auto record_round = [&](ChaosSlot& s,
@@ -696,7 +415,7 @@ SuggestSequences run_chaos_pass(const Options& opt,
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
       rendered += (i > 0 ? ";" : "") + config_json(cfgs[i]);
     }
-    const std::size_t round = s.evals_done / batch;
+    const std::size_t round = s.evals_done / kBatch;
     std::vector<std::string>& rounds = seq[s.name];
     if (round < rounds.size()) {
       // This round was already suggested before the kill; the resumed
@@ -706,9 +425,7 @@ SuggestSequences run_chaos_pass(const Options& opt,
             std::to_string(round) + " diverged:\n  before: " + rounds[round] +
             "\n  after:  " + rendered);
       }
-      if (stats != nullptr) {
-        ++stats->resuggested_rounds;
-      }
+      ++stats.resuggested_rounds;
     } else {
       rounds.push_back(rendered);
     }
@@ -717,21 +434,17 @@ SuggestSequences run_chaos_pass(const Options& opt,
   const auto chaos_restart = [&]() {
     // SIGKILL: no destructors, no finalize records, fsync'd journals only
     // — the crash the journal exists for.
-    kill_daemon(g_child_pid.load(std::memory_order_relaxed), SIGKILL);
+    kill_daemon(SIGKILL);
     const auto t0 = Clock::now();
     spawn_daemon(opt, socket_path, session_dir);
-    std::uint64_t adopted = 0;
-    const double recovery_ms = wait_healthy(socket_path, &adopted);
-    if (stats != nullptr) {
-      stats->recovery_ms =
-          static_cast<double>(elapsed_ns(t0, Clock::now())) * 1e-6;
-      stats->adopted_after_restart = adopted;
-      (void)recovery_ms;  // included in the spawn-to-healthy span above
-    }
+    stats.adopted_after_restart =
+        health_count(wait_healthy(socket_path), "adopted");
+    stats.recovery_ms = elapsed_ms(t0);
     client = std::make_unique<LineClient>(socket_path);
     // Resync every session from the restarted daemon's durable state: the
     // journal knows how many observations survived; unobserved rounds
-    // were dropped and will be re-suggested.
+    // were dropped and will be re-suggested (and checked against the
+    // client-side record in record_round).
     for (ChaosSlot& s : slots) {
       if (s.finished) {
         continue;
@@ -751,11 +464,6 @@ SuggestSequences run_chaos_pass(const Options& opt,
         s.created = false;
         s.evals_done = 0;
       }
-      std::vector<std::string>& rounds = seq[s.name];
-      // Client-side record beyond the durable prefix belongs to rounds
-      // the crash erased; keep them — the resumed daemon must re-mint
-      // them identically (checked in record_round).
-      (void)rounds;
     }
   };
 
@@ -821,248 +529,100 @@ SuggestSequences run_chaos_pass(const Options& opt,
       --unfinished;
     }
   }
-  if (stats != nullptr) {
-    for (const auto& [name, rounds] : seq) {
-      stats->rounds += rounds.size();
-    }
+  for (const auto& [name, rounds] : seq) {
+    stats.rounds += rounds.size();
   }
+  const service::JsonValue health =
+      *expect_ok(client->rpc("{\"verb\":\"health\"}")).find("health");
+  stats.evicted = health_count(health, "evicted");
+  stats.resumed = health_count(health, "resumed");
   client.reset();
-  kill_daemon(g_child_pid.load(std::memory_order_relaxed), SIGTERM);
+  kill_daemon(SIGTERM);
   return seq;
 }
 
-ChaosStats run_chaos(const Options& opt, const std::string& temp_dir,
-                     tabular::TabularObjective& dataset) {
-  const std::size_t sessions = opt.smoke ? 8 : 32;
-  const std::size_t evals = opt.smoke ? 4 : 6;
-  const std::size_t batch = 2;
-  const std::size_t total_suggests = sessions * (evals / batch);
-  // Kill mid-stream: past the create wave, well short of done, with a
-  // full window of unobserved rounds in flight.
-  const std::size_t kill_after = std::max<std::size_t>(1, total_suggests / 2);
-
-  const std::string socket_path = temp_dir + "/chaos.sock";
-  register_socket_path(1, socket_path);
-  std::printf(
-      "  chaos          %zu sessions x %zu evals, SIGKILL after %zu/%zu "
-      "suggests\n",
-      sessions, evals, kill_after, total_suggests);
-
-  const std::string ref_dir = temp_dir + "/chaos_ref.sessions";
-  const SuggestSequences reference = run_chaos_pass(
-      opt, socket_path, ref_dir, dataset, sessions, evals, batch,
-      /*kill_after_suggests=*/0, nullptr);
-
-  ChaosStats stats;
-  const std::string chaos_dir = temp_dir + "/chaos_kill.sessions";
-  const SuggestSequences survived = run_chaos_pass(
-      opt, socket_path, chaos_dir, dataset, sessions, evals, batch,
-      kill_after, &stats);
-
-  if (survived != reference) {
-    die("chaos pass diverged from the reference suggest sequences");
-  }
-  if (stats.resuggested_rounds == 0) {
-    die("chaos kill landed with no unobserved rounds in flight; the "
-        "resume path was not exercised");
-  }
-  std::printf(
-      "    survived     recovery %.1fms, %llu sessions adopted, %zu/%zu "
-      "rounds re-suggested bitwise-equal\n",
-      stats.recovery_ms,
-      static_cast<unsigned long long>(stats.adopted_after_restart),
-      stats.resuggested_rounds, stats.rounds);
-  return stats;
-}
-
-int run(Options opt) {
-  if (opt.smoke) {
-    opt.sessions = 60;
-    opt.workers = 2;
-    opt.window = 8;
-    opt.evals = 4;
-    opt.max_resident = 8;
-    opt.compare_evals = 40;
-  }
+int run(const Options& opt) {
   std::signal(SIGINT, storm_signal_handler);
   std::signal(SIGTERM, storm_signal_handler);
   // Every run artifact lives under one private temp dir: no stray sockets
   // or journal trees in the working directory, one remove_all to clean up.
   const std::string temp_dir = make_temp_dir();
-  const std::string session_dir = temp_dir + "/storm.sessions";
-  const std::string socket_path = temp_dir + "/storm.sock";
-  register_socket_path(0, socket_path);
+  const std::string socket_path = temp_dir + "/chaos.sock";
+  set_signal_path(g_socket_path, socket_path);
 
-  core::SessionManagerConfig mconfig;
-  mconfig.journal_dir = session_dir;
-  mconfig.max_resident = opt.max_resident;
-  core::SessionManager manager(service::dataset_session_factory(),
-                               std::move(mconfig));
-  service::WireService wire(manager);
-  service::LineServer server(
-      [&wire](std::string_view line) { return wire.handle_line(line); },
-      {.unix_path = socket_path});
-  server.start();
+  // The client-side copy of the dataset (the daemon's factory builds its
+  // own; values are identical by construction).
+  tabular::TabularObjective dataset = apps::dataset_by_name(kDataset).make();
 
-  // The client-side copy of the dataset (the service's factory builds its
-  // own; values are identical by construction). Tabular evaluation is a
-  // read-only lookup, safe to share across worker threads.
-  tabular::TabularObjective dataset = apps::dataset_by_name(opt.dataset).make();
-
+  const std::size_t sessions = opt.smoke ? 8 : 32;
+  const std::size_t evals = opt.smoke ? 4 : 6;
+  const std::size_t total_suggests = sessions * (evals / kBatch);
+  // Kill mid-stream: past the create wave, well short of done, with a
+  // full window of unobserved rounds in flight.
+  const std::size_t kill_after = std::max<std::size_t>(1, total_suggests / 2);
   std::printf(
-      "service_storm: %zu sessions x %zu evals (batch %zu, method %s), "
-      "%zu workers x window %zu, max_resident %zu\n",
-      opt.sessions, opt.evals, opt.batch, opt.method.c_str(), opt.workers,
-      opt.window, opt.max_resident);
+      "service_storm: %zu %s sessions on %s x %zu evals (batch %zu), "
+      "max_resident %zu, SIGKILL after %zu/%zu suggests\n",
+      sessions, kMethod, kDataset, evals, kBatch, kMaxResident, kill_after,
+      total_suggests);
 
-  std::atomic<std::size_t> next_session{0};
-  std::vector<WorkerStats> stats(opt.workers);
-  std::vector<std::thread> workers;
-  workers.reserve(opt.workers);
-  const auto t0 = Clock::now();
-  for (std::size_t w = 0; w < opt.workers; ++w) {
-    workers.emplace_back([&, w] {
-      run_worker(opt, socket_path, dataset, next_session, stats[w]);
-    });
-  }
-  for (std::thread& t : workers) {
-    t.join();
-  }
-  const double wall_s = static_cast<double>(elapsed_ns(t0, Clock::now())) * 1e-9;
+  ChaosStats reference_stats;
+  const SuggestSequences reference = run_chaos_pass(
+      opt, socket_path, temp_dir + "/chaos_ref.sessions", dataset, sessions,
+      evals, /*kill_after_suggests=*/0, reference_stats);
+  ChaosStats stats;
+  const SuggestSequences survived = run_chaos_pass(
+      opt, socket_path, temp_dir + "/chaos_kill.sessions", dataset, sessions,
+      evals, kill_after, stats);
 
-  std::vector<std::uint64_t> suggest_ns;
-  std::vector<std::uint64_t> observe_ns;
-  std::size_t completed = 0;
-  for (WorkerStats& s : stats) {
-    suggest_ns.insert(suggest_ns.end(), s.suggest_ns.begin(),
-                      s.suggest_ns.end());
-    observe_ns.insert(observe_ns.end(), s.observe_ns.begin(),
-                      s.observe_ns.end());
-    completed += s.sessions_completed;
+  if (survived != reference) {
+    die("kill pass diverged from the reference suggest sequences");
   }
-  if (completed != opt.sessions) {
-    die("completed " + std::to_string(completed) + " of " +
-        std::to_string(opt.sessions) + " sessions");
+  if (stats.resuggested_rounds == 0) {
+    die("SIGKILL landed with no unobserved rounds in flight; the resume "
+        "path was not exercised");
   }
-  const core::ManagerHealth health = manager.health();
-  if (health.resident != 0) {
-    die("expected every session closed, " +
-        std::to_string(health.resident) + " still resident");
+  for (const auto& [pass, s] :
+       {std::pair{"reference", &reference_stats}, std::pair{"kill", &stats}}) {
+    if (s->evicted == 0 || s->resumed == 0) {
+      die(std::string(pass) + " pass did not exercise eviction and resume "
+          "(evicted=" + std::to_string(s->evicted) + ", resumed=" +
+          std::to_string(s->resumed) + ")");
+    }
   }
-  const Percentiles suggest = summarize(suggest_ns);
-  const Percentiles observe = summarize(observe_ns);
-  const double sessions_per_sec =
-      static_cast<double>(completed) / std::max(wall_s, 1e-9);
-
-  std::printf("  wall time      %.2fs (%.0f sessions/s, %.0f suggests/s)\n",
-              wall_s, sessions_per_sec,
-              static_cast<double>(suggest.count) / std::max(wall_s, 1e-9));
-  std::printf("  suggest        p50 %.3fms  p99 %.3fms  mean %.3fms  (n=%zu)\n",
-              suggest.p50_ms, suggest.p99_ms, suggest.mean_ms, suggest.count);
-  std::printf("  observe        p50 %.3fms  p99 %.3fms  mean %.3fms  (n=%zu)\n",
-              observe.p50_ms, observe.p99_ms, observe.mean_ms, observe.count);
-  std::printf("  manager        %llu created, %llu evicted, %llu resumed, "
-              "%llu closed\n",
-              static_cast<unsigned long long>(health.created),
-              static_cast<unsigned long long>(health.evicted),
-              static_cast<unsigned long long>(health.resumed),
-              static_cast<unsigned long long>(health.closed));
-
-  // Interleaved windows larger than the residency cap must actually have
-  // exercised the eviction/resume path — a silent zero here would mean the
-  // bench measured nothing but the hot path.
-  if (opt.max_resident < opt.workers * opt.window &&
-      (health.evicted == 0 || health.resumed == 0)) {
-    die("eviction/resume path was not exercised (evicted=" +
-        std::to_string(health.evicted) + ", resumed=" +
-        std::to_string(health.resumed) + ")");
-  }
-
-  // Straggler-skewed throughput: the same service, one client per mode.
-  // Sync pays max(delay) per round; async pays each delay once, overlapped
-  // across the token window, and should clearly win.
-  const std::size_t cmp_evals = opt.compare_evals;
-  const std::size_t cmp_batch = std::max<std::size_t>(4, opt.batch);
-  const double sync_wall_s =
-      run_compare_sync(socket_path, dataset, opt, cmp_evals, cmp_batch);
-  const double async_wall_s =
-      run_compare_async(socket_path, dataset, opt, cmp_evals, cmp_batch);
-  const double sync_eps =
-      static_cast<double>(cmp_evals) / std::max(sync_wall_s, 1e-9);
-  const double async_eps =
-      static_cast<double>(cmp_evals) / std::max(async_wall_s, 1e-9);
-  const double speedup = async_eps / std::max(sync_eps, 1e-9);
   std::printf(
-      "  async-vs-sync  %zu evals, window %zu, %.0f%% stragglers "
-      "(%.1fms vs %.1fms)\n",
-      cmp_evals, cmp_batch, 100.0 / static_cast<double>(kStragglerOneIn),
-      kStragglerEvalMs, kShortEvalMs);
-  std::printf("    sync         %.2fs (%.0f evals/s)\n", sync_wall_s,
-              sync_eps);
-  std::printf("    async        %.2fs (%.0f evals/s, %.2fx)\n", async_wall_s,
-              async_eps, speedup);
-  if (!opt.smoke && speedup <= 1.0) {
-    die("async mode did not beat sync batch throughput (speedup " +
-        std::to_string(speedup) + "x)");
-  }
-  server.stop();
+      "  survived       recovery %.1fms, %llu sessions adopted, %zu/%zu "
+      "rounds re-suggested bitwise-equal\n",
+      stats.recovery_ms,
+      static_cast<unsigned long long>(stats.adopted_after_restart),
+      stats.resuggested_rounds, stats.rounds);
+  std::printf(
+      "  residency      reference pass %llu evicted / %llu resumed, after "
+      "restart %llu evicted / %llu resumed\n",
+      static_cast<unsigned long long>(reference_stats.evicted),
+      static_cast<unsigned long long>(reference_stats.resumed),
+      static_cast<unsigned long long>(stats.evicted),
+      static_cast<unsigned long long>(stats.resumed));
 
-  // Survivability proof, against an out-of-process daemon (the in-process
-  // one above is stopped; its worker threads are joined, so the fork+exec
-  // below starts from a quiet process).
-  ChaosStats chaos;
-  if (opt.chaos) {
-    chaos = run_chaos(opt, temp_dir, dataset);
-  }
-
-  std::string json = "{\n  \"bench\": \"service_storm\",\n";
-  json += "  \"sessions\": " + std::to_string(opt.sessions) + ",\n";
-  json += "  \"workers\": " + std::to_string(opt.workers) + ",\n";
-  json += "  \"window\": " + std::to_string(opt.window) + ",\n";
-  json += "  \"evals_per_session\": " + std::to_string(opt.evals) + ",\n";
-  json += "  \"batch_size\": " + std::to_string(opt.batch) + ",\n";
-  json += "  \"max_resident\": " + std::to_string(opt.max_resident) + ",\n";
-  json += "  \"method\": \"" + opt.method + "\",\n";
-  json += "  \"dataset\": \"" + opt.dataset + "\",\n";
-  json += "  \"wall_seconds\": " + obs::json_double(wall_s) + ",\n";
-  json += "  \"sessions_per_sec\": " + obs::json_double(sessions_per_sec) +
-          ",\n";
-  const auto verb_json = [](const char* name, const Percentiles& p) {
-    return std::string("  \"") + name + "\": {\"p50_ms\": " +
-           obs::json_double(p.p50_ms) + ", \"p99_ms\": " +
-           obs::json_double(p.p99_ms) + ", \"mean_ms\": " +
-           obs::json_double(p.mean_ms) + ", \"count\": " +
-           std::to_string(p.count) + "}";
-  };
-  json += verb_json("suggest", suggest) + ",\n";
-  json += verb_json("observe", observe) + ",\n";
-  json += "  \"async_compare\": {\"evals\": " + std::to_string(cmp_evals) +
-          ", \"window\": " + std::to_string(cmp_batch) +
-          ", \"straggler_rate\": " +
-          obs::json_double(1.0 / static_cast<double>(kStragglerOneIn)) +
-          ", \"short_ms\": " + obs::json_double(kShortEvalMs) +
-          ", \"straggler_ms\": " + obs::json_double(kStragglerEvalMs) +
-          ",\n    \"sync\": {\"wall_seconds\": " +
-          obs::json_double(sync_wall_s) + ", \"evals_per_sec\": " +
-          obs::json_double(sync_eps) +
-          "},\n    \"async\": {\"wall_seconds\": " +
-          obs::json_double(async_wall_s) + ", \"evals_per_sec\": " +
-          obs::json_double(async_eps) + "},\n    \"speedup\": " +
-          obs::json_double(speedup) + "},\n";
-  if (opt.chaos) {
-    json += "  \"chaos\": {\"recovery_ms\": " +
-            obs::json_double(chaos.recovery_ms) +
-            ", \"adopted_after_restart\": " +
-            std::to_string(chaos.adopted_after_restart) +
-            ", \"resuggested_rounds\": " +
-            std::to_string(chaos.resuggested_rounds) + ", \"rounds\": " +
-            std::to_string(chaos.rounds) + ", \"bitwise_equal\": true},\n";
-  }
-  const core::ManagerHealth final_health = manager.health();
-  json += "  \"evicted\": " + std::to_string(final_health.evicted) + ",\n";
-  json += "  \"resumed\": " + std::to_string(final_health.resumed) + ",\n";
-  json += "  \"connections\": " +
-          std::to_string(server.connections_accepted()) + "\n}\n";
+  const std::string json =
+      std::string("{\n  \"bench\": \"service_storm\",\n") +
+      "  \"chaos\": {\"sessions\": " + std::to_string(sessions) +
+      ", \"evals_per_session\": " + std::to_string(evals) +
+      ", \"batch_size\": " + std::to_string(kBatch) +
+      ", \"max_resident\": " + std::to_string(kMaxResident) +
+      ", \"method\": \"" + kMethod + "\", \"dataset\": \"" + kDataset +
+      "\",\n    \"kill_after_suggests\": " + std::to_string(kill_after) +
+      ", \"recovery_ms\": " + obs::json_double(stats.recovery_ms) +
+      ", \"adopted_after_restart\": " +
+      std::to_string(stats.adopted_after_restart) +
+      ", \"resuggested_rounds\": " + std::to_string(stats.resuggested_rounds) +
+      ", \"rounds\": " + std::to_string(stats.rounds) +
+      ",\n    \"reference_evicted\": " +
+      std::to_string(reference_stats.evicted) +
+      ", \"reference_resumed\": " + std::to_string(reference_stats.resumed) +
+      ", \"evicted_after_restart\": " + std::to_string(stats.evicted) +
+      ", \"resumed_after_restart\": " + std::to_string(stats.resumed) +
+      ", \"bitwise_equal\": true}\n}\n";
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
     die("cannot write " + opt.out);
@@ -1097,38 +657,16 @@ int main(int argc, char** argv) {
     };
     if (arg == "--smoke") {
       opt.smoke = true;
-    } else if (arg == "--chaos") {
-      opt.chaos = true;
     } else if (arg == "--serve-child") {
       serve_child = true;
     } else if (arg == "--socket") {
       child_socket = next();
     } else if (arg == "--session-dir") {
       child_session_dir = next();
-    } else if (arg == "--sessions") {
-      opt.sessions = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--workers") {
-      opt.workers = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--window") {
-      opt.window = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--evals") {
-      opt.evals = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--batch") {
-      opt.batch = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--max-resident") {
-      opt.max_resident = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--method") {
-      opt.method = next();
-    } else if (arg == "--dataset") {
-      opt.dataset = next();
     } else if (arg == "--out") {
       opt.out = next();
     } else {
-      std::fprintf(stderr,
-                   "usage: service_storm [--smoke] [--chaos] [--sessions N] "
-                   "[--workers N] [--window N] [--evals N] [--batch N] "
-                   "[--max-resident N] [--method NAME] [--dataset NAME] "
-                   "[--out PATH]\n");
+      std::fprintf(stderr, "usage: service_storm [--smoke] [--out PATH]\n");
       return 2;
     }
   }
@@ -1140,11 +678,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     return hpb::run_serve_child(child_socket, child_session_dir);
-  }
-  if (opt.sessions == 0 || opt.workers == 0 || opt.window == 0 ||
-      opt.evals == 0 || opt.batch == 0) {
-    std::fprintf(stderr, "service_storm: all sizes must be positive\n");
-    return 2;
   }
   return hpb::run(opt);
 }

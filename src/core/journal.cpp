@@ -552,6 +552,7 @@ ReplayResult replay_journal(Tuner& tuner, const space::ParameterSpace& space,
           outstanding.emplace(event.first_token + i, batch[i]);
         }
         result.next_token = event.first_token + batch.size();
+        ++result.rounds;
         break;
       }
       case JournalEvent::Kind::kObserve:

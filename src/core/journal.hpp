@@ -218,13 +218,16 @@ class JournalWriter {
 /// (for the session's best-so-far / stopping bookkeeping), the tokens still
 /// outstanding in issue order — async asks whose completion or
 /// cancellation never hit the journal; always empty for a sync journal,
-/// whose torn round the reader drops — and the next unissued token. A
-/// resumed session re-exposes the outstanding tokens, so a client (or an
+/// whose torn round the reader drops — the next unissued token, and the
+/// session's round count: one per ask event, which is an async ask or a
+/// sync round that was observed or cancelled (the reader keeps no other).
+/// A resumed session re-exposes the outstanding tokens, so a client (or an
 /// operator issuing `cancel`) can always resolve them.
 struct ReplayResult {
   std::vector<Observation> observations;
   std::vector<std::pair<std::uint64_t, space::Configuration>> outstanding;
   std::uint64_t next_token = 1;
+  std::size_t rounds = 0;
 };
 
 /// Deterministic resume: drive a fresh tuner through the journal's events

@@ -451,7 +451,7 @@ void Session::replay(
     std::span<const Observation> observations,
     std::span<const std::pair<std::uint64_t, space::Configuration>>
         outstanding,
-    std::uint64_t next_token) {
+    std::uint64_t next_token, std::size_t rounds) {
   require_open("replay");
   HPB_REQUIRE(outstanding_.empty() && next_token_ == 1,
               "Session::replay: replay only precedes fresh suggests");
@@ -460,6 +460,7 @@ void Session::replay(
   }
   outstanding_.insert(outstanding.begin(), outstanding.end());
   next_token_ = next_token;
+  round_index_ = rounds;
 }
 
 void Session::apply(Observation o) {

@@ -212,13 +212,14 @@ class Session {
 
   /// Apply a journal replay (from replay_journal, which already drove the
   /// tuner): the observations go through the result and stopping
-  /// bookkeeping, and the outstanding tokens and the token counter are
-  /// restored. Only valid before the first suggest of a fresh session.
+  /// bookkeeping, and the outstanding tokens, the token counter and the
+  /// round counter are restored. Only valid before the first suggest of a
+  /// fresh session.
   void replay(
       std::span<const Observation> observations,
       std::span<const std::pair<std::uint64_t, space::Configuration>>
           outstanding = {},
-      std::uint64_t next_token = 1);
+      std::uint64_t next_token = 1, std::size_t rounds = 0);
 
   [[nodiscard]] SessionStatus status() const;
 

@@ -363,7 +363,7 @@ Session& SessionManager::resume_if_cold(Lease& lease) {
         std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
     entry.session = make_session(spec, std::move(backend), std::move(journal));
     entry.session->replay(replayed.observations, replayed.outstanding,
-                          replayed.next_token);
+                          replayed.next_token, replayed.rounds);
     entry.spec = spec;
   } catch (...) {
     // A failed resume drops the entry (and its rid window): a corrupt

@@ -1,5 +1,6 @@
 #include "space/candidate_stream.hpp"
 
+#include <iterator>
 #include <unordered_set>
 
 #include "common/rng.hpp"
@@ -86,21 +87,12 @@ void CandidateStream::chunk_candidates(std::uint64_t pass, std::size_t chunk,
 }
 
 std::vector<CandidateStream::Candidate> CandidateStream::pass_candidates(
-    std::uint64_t pass, ThreadPool* pool) const {
-  std::vector<std::vector<Candidate>> chunks(num_chunks_);
-  parallel_for_indexed(pool, num_chunks_, [&](std::size_t i) {
-    chunk_candidates(pass, i, chunks[i]);
-  });
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) {
-    total += chunk.size();
-  }
+    std::uint64_t pass) const {
   std::vector<Candidate> out;
-  out.reserve(total);
-  for (auto& chunk : chunks) {
-    for (auto& candidate : chunk) {
-      out.push_back(std::move(candidate));
-    }
+  std::vector<Candidate> chunk;
+  for (std::size_t i = 0; i < num_chunks_; ++i) {
+    chunk_candidates(pass, i, chunk);
+    std::move(chunk.begin(), chunk.end(), std::back_inserter(out));
   }
   return out;
 }

@@ -11,14 +11,12 @@
 // construction.
 //
 // Determinism contract: chunk_candidates(pass, chunk) is a pure function of
-// (space, seed, pass, chunk) with a fixed chunk size, so generating a pass
-// with 1 thread or N threads yields the same candidate sequence.
+// (space, seed, pass, chunk) with a fixed chunk size.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "space/parameter_space.hpp"
 
 namespace hpb::space {
@@ -76,15 +74,14 @@ class CandidateStream {
   [[nodiscard]] std::size_t num_chunks() const noexcept { return num_chunks_; }
 
   /// Valid candidates of one chunk of one pass, in raw-index order.
-  /// Pure in (space, seed, pass, chunk): thread-count independent.
+  /// Pure in (space, seed, pass, chunk).
   void chunk_candidates(std::uint64_t pass, std::size_t chunk,
                         std::vector<Candidate>& out) const;
 
-  /// All valid candidates of a pass, in raw-index order. Chunks are
-  /// generated in parallel on `pool` (serial when null) and concatenated in
-  /// chunk order, so the sequence is identical for every thread count.
+  /// All valid candidates of a pass, in raw-index order (its chunks
+  /// concatenated in chunk order).
   [[nodiscard]] std::vector<Candidate> pass_candidates(
-      std::uint64_t pass, ThreadPool* pool = nullptr) const;
+      std::uint64_t pass) const;
 
   /// First k distinct valid configurations drawn from passes 0, 1, ... —
   /// a seeded, deterministic stand-in pool for pool-bound tuners on spaces

@@ -20,21 +20,30 @@
 //   - eviction/resume equivalence: an async session force-evicted with
 //     tokens outstanding (journal-replayed, outstanding set restored)
 //     suggests the exact same configurations as one kept hot; same for a
-//     sync session evicted after a cancelled round.
+//     sync session evicted after a cancelled round;
+//   - straggler throughput: under a fixed 90%/10% schedule of short and
+//     straggler evaluation times, async token refill finishes the same
+//     budget sooner than sync rounds, on a virtual clock (exact makespans,
+//     no sleeps, no clock reads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/registry.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/journal.hpp"
@@ -42,6 +51,10 @@
 #include "core/session_manager.hpp"
 #include "eval/methods.hpp"
 #include "obs/clock.hpp"
+#include "obs/json_util.hpp"
+#include "service/factory.hpp"
+#include "service/json.hpp"
+#include "service/wire.hpp"
 #include "manager_util.hpp"
 #include "test_util.hpp"
 
@@ -609,6 +622,156 @@ TEST(AsyncManaged, CloseRequiresDrainOrCancel) {
   EXPECT_EQ(testutil::cancel(manager, "stuck", {}), 3u);
   manager.close("stuck");
   EXPECT_EQ(manager.health().closed, 1u);
+}
+
+// ------------------------------------------------- straggler throughput
+//
+// Most evaluations are short and a few are stragglers forty times slower,
+// the skew a shared HPC queue produces. A sync client holds each round
+// open until its slowest member returns; an async client observes each
+// completion as it lands and refills its slot with one suggestion, so a
+// straggler occupies one slot instead of stalling the round. Both sessions
+// run through the wire over a journaled manager; the evaluation times are
+// a fixed function of the evaluation's issue index and advance a virtual
+// clock, so the makespans are exact.
+
+constexpr std::uint64_t kShortEvalUs = 200;
+constexpr std::uint64_t kStragglerEvalUs = 8000;
+constexpr std::size_t kThroughputEvals = 400;
+constexpr std::size_t kThroughputWindow = 4;
+
+/// 10% stragglers, chosen by splitmix64 of the evaluation index.
+std::uint64_t eval_delay_us(std::uint64_t index) {
+  return splitmix64(0x100000001B3ULL + index) % 10 == 0 ? kStragglerEvalUs
+                                                        : kShortEvalUs;
+}
+
+service::JsonValue wire_ok(service::WireService& wire,
+                           const std::string& request) {
+  const std::string reply = wire.handle_line(request);
+  service::JsonValue v = service::parse_json(reply);
+  EXPECT_TRUE(v.find("ok")->as_bool()) << request << "\n-> " << reply;
+  return v;
+}
+
+/// Each suggested configuration's wire rendering and its objective value.
+std::vector<std::pair<std::string, double>> evaluate_configs(
+    const service::JsonValue& reply, tabular::TabularObjective& dataset) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const service::JsonValue& c : reply.find("configs")->as_array()) {
+    space::Configuration config;
+    std::string rendered = "[";
+    for (const service::JsonValue& v : c.as_array()) {
+      rendered += (config.size() > 0 ? "," : "") +
+                  obs::json_double(v.as_number());
+      config.values().push_back(v.as_number());
+    }
+    out.emplace_back(rendered + "]",
+                     dataset.evaluate_result(config).value);
+  }
+  return out;
+}
+
+std::string create_request(const std::string& name, const char* mode) {
+  return "{\"verb\":\"create\",\"session\":\"" + name +
+         "\",\"dataset\":\"kripke\",\"method\":\"hiperbot\",\"mode\":\"" +
+         mode + "\",\"batch_size\":" + std::to_string(kThroughputWindow) +
+         ",\"max_evaluations\":" + std::to_string(kThroughputEvals) +
+         ",\"seed\":1}";
+}
+
+double wire_evaluations(service::WireService& wire, const std::string& name) {
+  return wire_ok(wire, "{\"verb\":\"status\",\"session\":\"" + name + "\"}")
+      .find("status")
+      ->find("evaluations")
+      ->as_number();
+}
+
+/// Sync rounds: each round completes when its slowest member does.
+std::uint64_t sync_makespan_us(service::WireService& wire,
+                               tabular::TabularObjective& dataset) {
+  wire_ok(wire, create_request("tp_sync", "sync"));
+  std::uint64_t now_us = 0;
+  std::uint64_t index = 0;
+  for (std::size_t done = 0; done < kThroughputEvals;) {
+    const auto round = evaluate_configs(
+        wire_ok(wire, R"({"verb":"suggest","session":"tp_sync"})"), dataset);
+    std::uint64_t round_us = 0;
+    std::string results;
+    for (const auto& [config, y] : round) {
+      round_us = std::max(round_us, eval_delay_us(index++));
+      results += std::string(results.empty() ? "" : ",") +
+                 "{\"config\":" + config + ",\"y\":" + obs::json_double(y) +
+                 "}";
+    }
+    now_us += round_us;
+    wire_ok(wire, R"({"verb":"observe","session":"tp_sync","results":[)" +
+                      results + "]}");
+    done += round.size();
+  }
+  EXPECT_EQ(wire_evaluations(wire, "tp_sync"), kThroughputEvals);
+  return now_us;
+}
+
+/// Async tokens: a window of evaluations in flight; each completion is
+/// observed at its finish time and its slot refilled with one suggestion.
+std::uint64_t async_makespan_us(service::WireService& wire,
+                                tabular::TabularObjective& dataset) {
+  wire_ok(wire, create_request("tp_async", "async"));
+  struct InFlight {
+    std::uint64_t ready_us;
+    std::uint64_t token;
+    double y;
+    bool operator>(const InFlight& o) const {
+      return std::pair(ready_us, token) > std::pair(o.ready_us, o.token);
+    }
+  };
+  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> heap;
+  std::uint64_t now_us = 0;
+  std::uint64_t index = 0;
+  const auto issue = [&](std::size_t count) {
+    const service::JsonValue reply = wire_ok(
+        wire, R"({"verb":"suggest","session":"tp_async","count":)" +
+                  std::to_string(count) + "}");
+    const auto configs = evaluate_configs(reply, dataset);
+    const auto& tokens = reply.find("tokens")->as_array();
+    EXPECT_EQ(configs.size(), count);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      heap.push({now_us + eval_delay_us(index++),
+                 static_cast<std::uint64_t>(tokens[i].as_number()),
+                 configs[i].second});
+    }
+  };
+  issue(kThroughputWindow);
+  for (std::size_t done = 0; done < kThroughputEvals; ++done) {
+    const InFlight f = heap.top();
+    heap.pop();
+    now_us = f.ready_us;
+    wire_ok(wire, R"({"verb":"observe","session":"tp_async","results":[)"
+                  "{\"token\":" + std::to_string(f.token) +
+                      ",\"y\":" + obs::json_double(f.y) + "}]}");
+    if (index < kThroughputEvals) {
+      issue(1);
+    }
+  }
+  EXPECT_EQ(wire_evaluations(wire, "tp_async"), kThroughputEvals);
+  return now_us;
+}
+
+TEST(AsyncThroughput, StragglerMakespanBeatsSync) {
+  SessionManager manager(service::dataset_session_factory(),
+                         {.journal_dir = fresh_dir("throughput")});
+  service::WireService wire(manager);
+  tabular::TabularObjective dataset = apps::dataset_by_name("kripke").make();
+  const std::uint64_t sync_us = sync_makespan_us(wire, dataset);
+  const std::uint64_t async_us = async_makespan_us(wire, dataset);
+  // 400 evaluations at window 4, 28 of them stragglers: sync pays 8 ms in
+  // every round that holds one, async overlaps them across its window.
+  EXPECT_EQ(sync_us, 222800u);
+  EXPECT_EQ(async_us, 78000u);
+  const double speedup =
+      static_cast<double>(sync_us) / static_cast<double>(async_us);
+  EXPECT_GT(speedup, 1.0) << "async token refill did not beat sync rounds";
 }
 
 }  // namespace

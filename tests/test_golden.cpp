@@ -11,7 +11,9 @@
 //   - every wire reply byte for byte;
 //   - both journals byte for byte;
 //   - the recorded continuation after a restart on the recorded journals
-//     (the next suggestions, the restored outstanding tokens);
+//     (the next suggestions, the restored outstanding tokens). Its status
+//     lines were re-recorded once, when replay began restoring the round
+//     count: before that, `rounds` restarted from 0 after a restart;
 // and the reader must describe both dialects with one event model, where a
 // round with fewer records than its marker announces commits nothing.
 #include <gtest/gtest.h>
@@ -92,7 +94,7 @@ round 3 2 2
 
 const Exchange kSyncResume[] = {
     {R"golden({"verb":"status","session":"gs"})golden",
-     R"golden({"ok":true,"status":{"evaluations":4,"failed":1,"rounds":0,"pending":0,"best_value":2.25,"best_config":[0,2,2],"stopped":false}})golden"},
+     R"golden({"ok":true,"status":{"evaluations":4,"failed":1,"rounds":3,"pending":0,"best_value":2.25,"best_config":[0,2,2],"stopped":false}})golden"},
     {R"golden({"verb":"suggest","session":"gs"})golden",
      R"golden({"ok":true,"configs":[[3,0,4],[2,0,1]]})golden"},
 };
@@ -139,13 +141,13 @@ aobs 5 ok 3ff4000000000000
 
 const Exchange kAsyncResume[] = {
     {R"golden({"verb":"status","session":"ga"})golden",
-     R"golden({"ok":true,"status":{"evaluations":3,"failed":1,"rounds":0,"pending":1,"best_value":1.25,"best_config":[3,2,0],"stopped":false,"mode":"async","pending_tokens":[4]}})golden"},
+     R"golden({"ok":true,"status":{"evaluations":3,"failed":1,"rounds":2,"pending":1,"best_value":1.25,"best_config":[3,2,0],"stopped":false,"mode":"async","pending_tokens":[4]}})golden"},
     {R"golden({"verb":"suggest","session":"ga"})golden",
      R"golden({"ok":true,"configs":[[1,0,2],[3,1,1]],"tokens":[6,7]})golden"},
     {R"golden({"verb":"observe","session":"ga","results":[{"token":4,"y":0.5},{"token":7,"status":"invalid"}]})golden",
-     R"golden({"ok":true,"status":{"evaluations":5,"failed":2,"rounds":1,"pending":1,"best_value":0.5,"best_config":[0,0,1],"stopped":false,"mode":"async","pending_tokens":[6]}})golden"},
+     R"golden({"ok":true,"status":{"evaluations":5,"failed":2,"rounds":3,"pending":1,"best_value":0.5,"best_config":[0,0,1],"stopped":false,"mode":"async","pending_tokens":[6]}})golden"},
     {R"golden({"verb":"status","session":"ga"})golden",
-     R"golden({"ok":true,"status":{"evaluations":5,"failed":2,"rounds":1,"pending":1,"best_value":0.5,"best_config":[0,0,1],"stopped":false,"mode":"async","pending_tokens":[6]}})golden"},
+     R"golden({"ok":true,"status":{"evaluations":5,"failed":2,"rounds":3,"pending":1,"best_value":0.5,"best_config":[0,0,1],"stopped":false,"mode":"async","pending_tokens":[6]}})golden"},
 };
 
 std::string fresh_dir(const std::string& name) {

@@ -121,12 +121,7 @@ std::string status_diff(const JsonValue& s, const core::SessionStatus& o) {
   field("evaluations", static_cast<double>(o.evaluations));
   field("failed", static_cast<double>(o.num_failed));
   field("pending", static_cast<double>(o.pending));
-  // `rounds` restarts from 0 whenever the service resumes a session from
-  // its journal (replay does not restore the counter), so after an evict
-  // or restart it can only trail the oracle.
-  if (s.find("rounds")->as_number() > static_cast<double>(o.rounds)) {
-    diff += " rounds";
-  }
+  field("rounds", static_cast<double>(o.rounds));
   const JsonValue* best = s.find("best_value");
   if (std::isfinite(o.best_value)
           ? !best->is_number() || std::bit_cast<std::uint64_t>(

@@ -2,9 +2,8 @@
 // streamed candidate generator:
 //   - ~500 seeded random conditional, divisibility-constrained spaces:
 //     every streamed candidate satisfies its constraints and activity rules
-//     (inactive parameters hold their sentinels), no ordinal repeats within
-//     a pass, and the candidate sequence is identical for 1, 2, 7, and
-//     hardware_concurrency worker threads;
+//     (inactive parameters hold their sentinels), and no ordinal repeats
+//     within a pass;
 //   - streaming reproduces enumerate() bitwise on enumerable spaces, and the
 //     forced-Feistel mode emits a seeded permutation of the same valid set;
 //   - HiPerBOt's streamed Ranking sweep is bitwise-identical to the
@@ -30,7 +29,6 @@
 #include "apps/registry.hpp"
 #include "apps/systolic.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/history_io.hpp"
 #include "core/hiperbot.hpp"
@@ -107,26 +105,6 @@ TEST(SpaceProperties, StreamedCandidatesAreValidCanonicalAndDeduplicated) {
   // The generator must actually exercise the conditional machinery.
   EXPECT_GT(conditional_spaces, kNumSpaces / 2);
   EXPECT_GT(total_candidates, kNumSpaces);
-}
-
-TEST(SpaceProperties, PassSequencesAreThreadCountIndependent) {
-  ThreadPool pool1(1), pool2(2), pool7(7), pool_hw(0);
-  ThreadPool* pools[] = {&pool1, &pool2, &pool7, &pool_hw};
-  for (std::size_t t = 0; t < 150; ++t) {
-    SCOPED_TRACE("space seed " + std::to_string(t));
-    const SpacePtr s = random_space(0xA110'0000 + t);
-    const CandidateStream stream(s, /*seed=*/t, StreamConfig{.chunk = 64});
-    const auto serial = stream.pass_candidates(0, nullptr);
-    for (ThreadPool* pool : pools) {
-      const auto threaded = stream.pass_candidates(0, pool);
-      ASSERT_EQ(threaded.size(), serial.size());
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(threaded[i].config.values(), serial[i].config.values());
-        EXPECT_EQ(threaded[i].pass_index, serial[i].pass_index);
-        EXPECT_EQ(threaded[i].ordinal, serial[i].ordinal);
-      }
-    }
-  }
 }
 
 TEST(SpaceProperties, ExhaustivePassReproducesEnumerateBitwise) {

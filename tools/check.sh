@@ -21,16 +21,15 @@
 # machine can execute; then a ThreadSanitizer build running the concurrency-sensitive
 # subset (engine, thread pool, watchdog, shutdown, metrics hot path,
 # session manager and its registry, line server, recovery/rid
-# replay/overload/drain, the session model stress test, stream pass
-# thread-count invariance); then a
+# replay/overload/drain, the session model stress test, streamed
+# candidate generation); then a
 # fault-injected
 # shootout smoke run (HPB_FAIL_RATE=0.2), a CLI crash-resume smoke
 # (journal a run, truncate the journal mid-record, resume, and require
-# the identical history CSV), a tuning-service storm smoke
-# (bench/service_storm --smoke: interleaved sessions with forced
-# eviction/resume over a real socket), a chaos smoke (--chaos: SIGKILL
-# the daemon mid-storm, restart, require bitwise-identical resumed
-# suggest sequences), and the gcov line-coverage gate for src/core +
+# the identical history CSV), the chaos smoke under ASan
+# (bench/service_storm --smoke: SIGKILL an evicting daemon mid-storm,
+# restart, require bitwise-identical resumed suggest sequences and that
+# eviction and resume ran), and the gcov line-coverage gate for src/core +
 # src/obs + src/space (tools/coverage.sh).
 #
 # Every filtered ctest call passes --no-tests=error, so a regex that stops
@@ -90,18 +89,14 @@ echo "== acquisition sweep micro-bench smoke =="
   --out build/BENCH_acquisition_smoke.json
 
 echo
-echo "== tuning-service storm smoke: interleaved sessions + eviction/resume =="
-./build/bench/service_storm --smoke \
-  --out build/BENCH_service_smoke.json
-
-echo
-echo "== chaos smoke (ASan): SIGKILL the daemon mid-storm, restart, bitwise resume =="
-# The sanitized storm is the one worth running: the kill/restart cycle and
-# the torn-connection teardown are exactly where lifetime bugs hide.
+echo "== chaos smoke (ASan): SIGKILL an evicting daemon mid-storm, restart, bitwise resume =="
+# The sanitized storm is the one worth running: the kill/restart cycle,
+# eviction/resume and the torn-connection teardown are exactly where
+# lifetime bugs hide.
 cmake -B build-asan -S . -DHPB_SANITIZE=address \
   -DHPB_BUILD_BENCH=ON -DHPB_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build build-asan -j "$jobs" --target service_storm
-./build-asan/bench/service_storm --chaos --smoke \
+./build-asan/bench/service_storm --smoke \
   --out build-asan/BENCH_service_chaos_smoke.json
 
 echo
